@@ -4,35 +4,9 @@
 
 namespace sdvm {
 
-/// Engine thread driver: wakeups and work notifications poke a condition
-/// variable; the engine loop re-pumps the site.
-class LocalCluster::EngineDriver final : public Driver {
- public:
-  void request_wakeup(Nanos delay) override {
-    (void)delay;  // the engine recomputes its sleep from Site::pump()
-    cv_.notify_all();
-  }
-  void notify_work() override { cv_.notify_all(); }
-
-  void wait(Nanos max_ns) {
-    std::unique_lock lk(m_);
-    cv_.wait_for(lk, std::chrono::nanoseconds(max_ns));
-  }
-  void stop() {
-    stopping_ = true;
-    cv_.notify_all();
-  }
-  [[nodiscard]] bool stopping() const { return stopping_; }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::atomic<bool> stopping_{false};
-};
-
 LocalCluster::LocalCluster(Options options)
     : options_(std::move(options)), network_(options_.seed) {
-  network_.set_default_link(options_.link);
+  network_.faults().set_default_link(options_.link);
 }
 
 LocalCluster::~LocalCluster() {
@@ -68,7 +42,9 @@ Site& LocalCluster::add_site(SiteConfig config) {
   std::string contact =
       first ? "" : entries_.front()->endpoint->local_address();
   entries_.push_back(std::move(entry));
-  e->engine = std::thread([this, e] { engine_loop(e); });
+  e->engine = std::thread([e] {
+    e->driver->run([e] { return e->killed ? Nanos{-1} : e->site->pump(); });
+  });
 
   if (first) {
     e->site->bootstrap();
@@ -92,15 +68,6 @@ void LocalCluster::add_sites(int n, const SiteConfig& base) {
     SiteConfig cfg = base;
     cfg.name = "site" + std::to_string(entries_.size() + 1);
     add_site(cfg);
-  }
-}
-
-void LocalCluster::engine_loop(Entry* e) {
-  while (!e->driver->stopping()) {
-    Nanos next = -1;
-    if (!e->killed) next = e->site->pump();
-    Nanos sleep = next < 0 ? 2'000'000 : std::min<Nanos>(next, 2'000'000);
-    e->driver->wait(std::max<Nanos>(sleep, 10'000));
   }
 }
 
@@ -206,7 +173,7 @@ Result<SiteId> LocalCluster::sign_off(std::size_t index) {
 void LocalCluster::kill(std::size_t index) {
   Entry* e = entries_.at(index).get();
   e->killed = true;
-  network_.kill(e->endpoint->local_address());
+  network_.faults().kill(e->endpoint->local_address());
   e->site->processing().stop();
 }
 

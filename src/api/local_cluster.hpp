@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "api/cluster.hpp"
+#include "api/engine_driver.hpp"
 #include "net/inproc.hpp"
 #include "runtime/site.hpp"
 
@@ -75,7 +76,6 @@ class LocalCluster final : public Cluster {
   Status install_trace_hook(std::size_t index, FrameTraceHook hook) override;
 
  private:
-  class EngineDriver;
   struct Entry {
     std::unique_ptr<EngineDriver> driver;
     std::unique_ptr<net::InProcEndpoint> endpoint;
@@ -83,8 +83,6 @@ class LocalCluster final : public Cluster {
     std::thread engine;
     bool killed = false;
   };
-
-  void engine_loop(Entry* e);
 
   Options options_;
   net::InProcNetwork network_;

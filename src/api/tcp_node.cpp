@@ -6,27 +6,6 @@
 
 namespace sdvm {
 
-class TcpNode::EngineDriver final : public Driver {
- public:
-  void request_wakeup(Nanos) override { cv_.notify_all(); }
-  void notify_work() override { cv_.notify_all(); }
-
-  void wait(Nanos max_ns) {
-    std::unique_lock lk(m_);
-    cv_.wait_for(lk, std::chrono::nanoseconds(max_ns));
-  }
-  void stop() {
-    stopping_.store(true);
-    cv_.notify_all();
-  }
-  [[nodiscard]] bool stopping() const { return stopping_.load(); }
-
- private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::atomic<bool> stopping_{false};
-};
-
 TcpNode::TcpNode() = default;
 
 Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
@@ -98,11 +77,7 @@ Result<std::unique_ptr<TcpNode>> TcpNode::create(Options options) {
   }
 
   node->engine_ = std::thread([n = node.get()] {
-    while (!n->driver_->stopping()) {
-      Nanos next = n->site_->pump();
-      Nanos sleep = next < 0 ? 2'000'000 : std::min<Nanos>(next, 2'000'000);
-      n->driver_->wait(std::max<Nanos>(sleep, 10'000));
-    }
+    n->driver_->run([n] { return n->site_->pump(); });
   });
   return node;
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/cluster.hpp"
+#include "api/engine_driver.hpp"
 #include "net/faulty.hpp"
 #include "net/tcp.hpp"
 #include "runtime/site.hpp"
@@ -22,9 +23,9 @@ class TcpNode final : public Cluster {
     /// Resilience knobs: connect timeout, retry budget, backoff, queue
     /// bound, unreachable cooldown.
     net::TcpTransport::Options transport;
-    /// When set, the transport is wrapped in a seeded FaultyTransport
-    /// (drop/delay/sever by peer and message kind) — the chaos harness's
-    /// fault vocabulary against real sockets.
+    /// When set, the transport is wrapped in a seeded FaultyTransport, so
+    /// the fault model the simulator uses (loss, delay, sever, kill,
+    /// partition) acts on real sockets.
     std::optional<net::FaultyTransport::Options> faults;
   };
 
@@ -83,7 +84,6 @@ class TcpNode final : public Cluster {
   void shutdown();
 
  private:
-  class EngineDriver;
   TcpNode();
 
   std::unique_ptr<EngineDriver> driver_;

@@ -77,6 +77,7 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
     opts.zones = std::move(specs);
   }
   sim::SimCluster cluster(opts);
+  net::FaultModel& faults = cluster.network().faults();
   const SiteConfig site_cfg =
       chaos_site_config(options_.durable_state, schedule.sites);
   if (zones > 1) {
@@ -155,11 +156,11 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
     }
   };
 
-  // Re-assert network kills: InProcNetwork::heal() clears its killed set
+  // Re-assert network kills: FaultModel::heal() clears its killed set
   // along with partitions, but a crashed site must stay crashed.
   auto rekill_dead = [&] {
     for (std::size_t i = 0; i < records.size(); ++i) {
-      if (records[i].killed) cluster.network().kill(address(i));
+      if (records[i].killed) faults.kill(address(i));
     }
   };
 
@@ -254,13 +255,13 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
         }
         if (a.empty() || b.empty()) return skip("split leaves a side empty");
         trace("#" + std::to_string(index) + " apply " + ev.to_line());
-        cluster.network().partition(a, b);
+        faults.partition(a, b);
         partition_active = true;
         return;
       }
       case EventKind::kHeal: {
         trace("#" + std::to_string(index) + " apply " + ev.to_line());
-        cluster.network().heal();
+        faults.heal();
         rekill_dead();
         partition_active = false;
         return;
@@ -269,13 +270,13 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
         trace("#" + std::to_string(index) + " apply " + ev.to_line());
         net::LinkModel lossy = base_link;
         lossy.loss = ev.loss;
-        cluster.network().set_default_link(lossy);
+        faults.set_default_link(lossy);
         loss_active = true;
         return;
       }
       case EventKind::kLossClear: {
         trace("#" + std::to_string(index) + " apply " + ev.to_line());
-        cluster.network().set_default_link(base_link);
+        faults.set_default_link(base_link);
         loss_active = false;
         return;
       }
@@ -321,7 +322,7 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
           return skip("outage leaves a side empty");
         }
         trace("#" + std::to_string(index) + " apply " + ev.to_line());
-        cluster.network().partition(in, rest);
+        faults.partition(in, rest);
         partition_active = true;
         return;
       }
@@ -379,13 +380,13 @@ RunReport ChaosHarness::run(const ChaosSchedule& schedule) {
   // wedge the faults already caused — messages lost are lost.)
   if (partition_active) {
     trace("implicit heal (schedule left a partition active)");
-    cluster.network().heal();
+    faults.heal();
     rekill_dead();
     partition_active = false;
   }
   if (loss_active) {
     trace("implicit loss clear (schedule left a loss burst active)");
-    cluster.network().set_default_link(base_link);
+    faults.set_default_link(base_link);
     loss_active = false;
   }
 

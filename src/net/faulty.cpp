@@ -1,143 +1,65 @@
 #include "net/faulty.hpp"
 
-#include <chrono>
-
 #include "common/log.hpp"
 
 namespace sdvm::net {
 
-namespace {
-
-Nanos now_nanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// base ∘ peer ∘ kind: independent drop events, additive delay, sticky
-/// sever.
-FaultRule combine(const FaultRule& a, const FaultRule& b) {
-  FaultRule r;
-  r.drop = 1.0 - (1.0 - a.drop) * (1.0 - b.drop);
-  r.delay = a.delay + b.delay;
-  r.delay_jitter = a.delay_jitter + b.delay_jitter;
-  r.sever = a.sever || b.sever;
-  return r;
-}
-
-}  // namespace
-
-int classify_sdvm_frame(std::span<const std::byte> frame) {
-  constexpr std::size_t kTypeOffset = 1 + 1 + 4 + 4 + 1 + 1;
-  if (frame.size() < kTypeOffset + 2) return -1;
-  if (static_cast<std::uint8_t>(frame[1]) != 0) return -1;  // sealed body
-  return static_cast<int>(static_cast<std::uint8_t>(frame[kTypeOffset]) |
-                          (static_cast<std::uint8_t>(frame[kTypeOffset + 1])
-                           << 8));
-}
-
 FaultyTransport::FaultyTransport(std::unique_ptr<Transport> inner,
                                  Options options)
     : inner_(std::move(inner)),
-      classifier_(options.classifier ? std::move(options.classifier)
-                                     : classify_sdvm_frame),
-      base_(options.base),
-      rng_(options.seed) {
-  delayer_ = std::thread([this] { delayer_loop(); });
+      self_(inner_->local_address()),
+      faults_(options.seed) {
+  faults_.set_default_link(options.base);
 }
 
 FaultyTransport::~FaultyTransport() { close(); }
 
-std::string FaultyTransport::local_address() const {
-  return inner_->local_address();
-}
-
-FaultyTransport::Verdict FaultyTransport::apply_rules(
-    const std::string& to, std::vector<std::byte>& bytes) {
-  FaultRule rule = base_;
-  if (auto it = peer_rules_.find(to); it != peer_rules_.end()) {
-    rule = combine(rule, it->second);
-  }
-  if (classifier_) {
-    int kind = classifier_(bytes);
-    if (auto it = kind_rules_.find(kind); it != kind_rules_.end()) {
-      rule = combine(rule, it->second);
-    }
-  }
-  if (rule.sever) {
-    ++stats_.severed;
-    return Verdict::kSevered;
-  }
-  if (rule.drop > 0.0 && rng_.uniform() < rule.drop) {
-    // Network loss is silent: the frame vanishes, the caller sees ok.
-    ++stats_.dropped;
-    return Verdict::kDropped;
-  }
-  Nanos extra = rule.delay;
-  if (rule.delay_jitter > 0) {
-    extra += static_cast<Nanos>(
-        rng_.below(static_cast<std::uint64_t>(rule.delay_jitter)));
-  }
-  if (extra > 0) {
-    ++stats_.delayed;
-    delayed_.push(
-        Delayed{now_nanos() + extra, ++delayed_seq_, to, std::move(bytes)});
-    cv_.notify_all();
-    return Verdict::kDelayed;
-  }
-  ++stats_.forwarded;
-  return Verdict::kForward;
-}
-
 Status FaultyTransport::send(const std::string& to,
                              std::vector<std::byte> bytes) {
-  {
-    std::lock_guard lk(mu_);
-    if (stop_) {
-      return Status::error(ErrorCode::kUnavailable, "transport closed");
-    }
-    switch (apply_rules(to, bytes)) {
-      case Verdict::kSevered:
-        return Status::error(ErrorCode::kUnavailable,
-                             "link to " + to + " severed (fault injection)");
-      case Verdict::kDropped:
-      case Verdict::kDelayed:
-        return Status::ok();
-      case Verdict::kForward:
-        break;
-    }
-  }
-  return inner_->send(to, std::move(bytes));
+  std::vector<Frame> one;
+  one.push_back(std::move(bytes));
+  return send_batch(to, std::move(one));
 }
 
 Status FaultyTransport::send_batch(const std::string& to,
                                    std::vector<Frame> frames) {
+  using Verdict = FaultModel::Verdict;
   Status first = Status::ok();
   std::vector<Frame> survivors;
+  std::vector<std::pair<FaultModel::Decision, Frame>> delayed;
   {
-    std::lock_guard lk(mu_);
-    if (stop_) {
+    std::lock_guard lk(faults_.mu_);
+    if (closed_) {
       return Status::error(ErrorCode::kUnavailable, "transport closed");
     }
     survivors.reserve(frames.size());
     for (auto& f : frames) {
-      switch (apply_rules(to, f)) {
-        case Verdict::kSevered:
+      FaultModel::Decision d =
+          faults_.decide_locked(self_, to, f.size(), /*known=*/true);
+      switch (d.verdict) {
+        case Verdict::kUnavailable:
+          ++stats_.severed;
           if (first.is_ok()) {
             first = Status::error(
                 ErrorCode::kUnavailable,
                 "link to " + to + " severed (fault injection)");
           }
           break;
-        case Verdict::kDropped:
-        case Verdict::kDelayed:
+        case Verdict::kDrop:
+          ++stats_.dropped;
           break;
-        case Verdict::kForward:
+        case Verdict::kNow:
+          ++stats_.forwarded;
           survivors.push_back(std::move(f));
+          break;
+        case Verdict::kLater:
+          ++stats_.delayed;
+          delayed.emplace_back(std::move(d), std::move(f));
           break;
       }
     }
   }
+  for (auto& [d, f] : delayed) forward_later(d, to, std::move(f));
   if (!survivors.empty()) {
     Status st = inner_->send_batch(to, std::move(survivors));
     if (!st.is_ok() && first.is_ok()) first = st;
@@ -145,68 +67,36 @@ Status FaultyTransport::send_batch(const std::string& to,
   return first;
 }
 
-void FaultyTransport::flush(const std::string& to) { inner_->flush(to); }
-
-void FaultyTransport::delayer_loop() {
-  std::unique_lock lk(mu_);
-  while (!stop_) {
-    if (delayed_.empty()) {
-      cv_.wait(lk, [&] { return stop_ || !delayed_.empty(); });
-      continue;
+void FaultyTransport::forward_later(const FaultModel::Decision& d,
+                                    const std::string& to, Frame frame) {
+  auto payload = std::make_shared<Frame>(std::move(frame));
+  faults_.defer(d, to, [this, to, payload] {
+    {
+      std::lock_guard lk(faults_.mu_);
+      if (closed_ || faults_.killed_locked(to)) return;
     }
-    Nanos due = delayed_.top().due;
-    Nanos now = now_nanos();
-    if (now < due) {
-      cv_.wait_for(lk, std::chrono::nanoseconds(due - now));
-      continue;
-    }
-    Delayed d = std::move(const_cast<Delayed&>(delayed_.top()));
-    delayed_.pop();
-    lk.unlock();
-    Status st = inner_->send(d.to, std::move(d.bytes));
+    Status st = inner_->send(to, std::move(*payload));
     if (!st.is_ok()) {
-      SDVM_DEBUG("faulty") << "delayed send to " << d.to
+      SDVM_DEBUG("faulty") << "delayed send to " << to
                            << " failed: " << st.to_string();
     }
-    lk.lock();
-  }
+  });
 }
+
+void FaultyTransport::flush(const std::string& to) { inner_->flush(to); }
 
 void FaultyTransport::close() {
   {
-    std::lock_guard lk(mu_);
-    if (stop_) return;
-    stop_ = true;
-    cv_.notify_all();
+    std::lock_guard lk(faults_.mu_);
+    if (closed_) return;
+    closed_ = true;
   }
-  if (delayer_.joinable()) delayer_.join();
+  faults_.stop();
   inner_->close();
 }
 
-void FaultyTransport::set_peer_rule(const std::string& to, FaultRule rule) {
-  std::lock_guard lk(mu_);
-  peer_rules_[to] = rule;
-}
-
-void FaultyTransport::set_kind_rule(int kind, FaultRule rule) {
-  std::lock_guard lk(mu_);
-  kind_rules_[kind] = rule;
-}
-
-void FaultyTransport::sever(const std::string& to, bool severed) {
-  std::lock_guard lk(mu_);
-  peer_rules_[to].sever = severed;
-}
-
-void FaultyTransport::clear_rules() {
-  std::lock_guard lk(mu_);
-  peer_rules_.clear();
-  kind_rules_.clear();
-  base_ = FaultRule{};
-}
-
 FaultyTransport::Stats FaultyTransport::stats() const {
-  std::lock_guard lk(mu_);
+  std::lock_guard lk(faults_.mu_);
   return stats_;
 }
 

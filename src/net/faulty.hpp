@@ -1,64 +1,37 @@
-// FaultyTransport: a seeded fault-injection decorator over any Transport.
-// The PR-2 chaos harness proves the runtime's invariants against the
-// deterministic SimCluster; this decorator brings the same fault vocabulary
-// (drop / delay / sever, per peer and per message kind) to the *real* TCP
-// deployment, so multi-process and multi-thread TCP nodes can be driven
-// through the identical failure scenarios.
+// FaultyTransport: the fault model over any Transport. Before forwarding a
+// frame to the inner transport (in practice a TcpTransport), it asks its
+// FaultModel for a verdict on the link (local address → peer), so a real
+// socket deployment faces the same rules as the in-process fabric:
 //
-//   * drop   — the send is swallowed silently (network loss: the caller
-//              still sees Status::ok, exactly like a lost UDP datagram);
-//   * delay  — delivery is deferred by a fixed latency plus uniform jitter
-//              (enough jitter REORDERS frames, the paper's UDP experience);
-//   * sever  — sends fail immediately with kUnavailable (a cut link).
+//   * loss      — the frame vanishes silently (the caller still sees
+//                 Status::ok, exactly like a lost UDP datagram);
+//   * latency / per_byte / jitter
+//               — delivery is deferred on the model's wall-clock timer
+//                 (enough jitter REORDERS frames, the paper's UDP
+//                 experience);
+//   * sever     — the send fails immediately with kUnavailable;
+//   * kill / partition
+//               — the frame vanishes silently, and a kill also swallows
+//                 frames the timer still holds for that peer.
 //
-// All randomness comes from one seeded generator, so a fault run is
-// replayable given (seed, send sequence).
+// Rules are set through faults(); Options::base is the default link.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <queue>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "common/types.hpp"
+#include "net/fault_model.hpp"
 #include "net/transport.hpp"
 
 namespace sdvm::net {
 
-/// One fault prescription. Rules combine (base ∘ peer ∘ kind): drop
-/// probabilities compose independently, delays add, sever is sticky.
-struct FaultRule {
-  double drop = 0.0;       // probability in [0,1) that a send vanishes
-  Nanos delay = 0;         // fixed extra one-way latency
-  Nanos delay_jitter = 0;  // uniform extra delay in [0, delay_jitter)
-  bool sever = false;      // sends fail with kUnavailable
-};
-
-/// Classifies a wire frame into an application "message kind" so rules can
-/// target e.g. only heartbeats. Returns -1 for "unclassifiable".
-using FrameClassifier = std::function<int(std::span<const std::byte>)>;
-
-/// Default classifier for the SDVM wire layout
-/// [version u8 | flags u8 | src u32 | dst u32 | src_mgr u8 | dst_mgr u8 |
-///  type u16 | ...]: returns the message type, or -1 when the frame is
-/// sealed (encrypted) or too short. Kept in lockstep with
-/// SecurityManager::protect / SdMessage::serialize_body.
-[[nodiscard]] int classify_sdvm_frame(std::span<const std::byte> frame);
-
 class FaultyTransport final : public Transport {
  public:
   struct Options {
-    std::uint64_t seed = 1;      // drives drop decisions and delay jitter
-    FaultRule base;              // applied to every send
-    FrameClassifier classifier;  // defaults to classify_sdvm_frame
+    std::uint64_t seed = 1;  // drives the model's loss and jitter draws
+    LinkModel base;          // the model's default link
   };
 
   struct Stats {
@@ -73,59 +46,30 @@ class FaultyTransport final : public Transport {
   FaultyTransport(const FaultyTransport&) = delete;
   FaultyTransport& operator=(const FaultyTransport&) = delete;
 
-  [[nodiscard]] std::string local_address() const override;
+  [[nodiscard]] std::string local_address() const override { return self_; }
   Status send(const std::string& to, std::vector<std::byte> bytes) override;
-  /// Applies the fault rules to every frame of the burst individually —
-  /// the RNG consumes decisions in frame order, exactly as if each frame
-  /// had been sent alone — then forwards the survivors as one batch.
+  /// Decides every frame of the burst individually — the RNG consumes
+  /// decisions in frame order, exactly as if each frame had been sent
+  /// alone — then forwards the survivors as one batch.
   Status send_batch(const std::string& to, std::vector<Frame> frames) override;
   /// Forwards to the inner transport (delayed frames flush when due).
   void flush(const std::string& to) override;
   void close() override;
 
-  // --- rule surface (thread-safe; effective for subsequent sends) --------
-  void set_peer_rule(const std::string& to, FaultRule rule);
-  void set_kind_rule(int kind, FaultRule rule);
-  /// Convenience: cut / restore the link to one peer.
-  void sever(const std::string& to, bool severed);
-  void clear_rules();
-
+  /// The link rules, kills and partitions this transport obeys.
+  [[nodiscard]] FaultModel& faults() { return faults_; }
   [[nodiscard]] Stats stats() const;
-  /// The wrapped transport (e.g. to read TcpTransport::stats()).
-  [[nodiscard]] Transport* inner() { return inner_.get(); }
 
  private:
-  /// Per-frame fault decision shared by send() and send_batch().
-  enum class Verdict { kForward, kDropped, kDelayed, kSevered };
-  /// Requires mu_ held. A kDelayed verdict has already scheduled the frame
-  /// (bytes consumed); all other verdicts leave `bytes` untouched.
-  Verdict apply_rules(const std::string& to, std::vector<std::byte>& bytes);
-
-  void delayer_loop();
+  /// Forwards a delayed frame once due, unless the peer died meanwhile.
+  void forward_later(const FaultModel::Decision& d, const std::string& to,
+                     Frame frame);
 
   std::unique_ptr<Transport> inner_;
-  FrameClassifier classifier_;
-  mutable std::mutex mu_;
-  FaultRule base_;
-  std::map<std::string, FaultRule> peer_rules_;
-  std::map<int, FaultRule> kind_rules_;
-  Xoshiro256 rng_;
-  Stats stats_;
-
-  struct Delayed {
-    Nanos due;
-    std::uint64_t seq;
-    std::string to;
-    std::vector<std::byte> bytes;
-    bool operator>(const Delayed& o) const {
-      return std::tie(due, seq) > std::tie(o.due, o.seq);
-    }
-  };
-  std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>> delayed_;
-  std::uint64_t delayed_seq_ = 0;
-  std::condition_variable cv_;
-  std::thread delayer_;
-  bool stop_ = false;
+  const std::string self_;
+  FaultModel faults_;
+  Stats stats_;          // guarded by faults_.mu_
+  bool closed_ = false;  // guarded by faults_.mu_
 };
 
 }  // namespace sdvm::net

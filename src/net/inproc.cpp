@@ -1,10 +1,5 @@
 #include "net/inproc.hpp"
 
-#include <algorithm>
-
-#include "common/clock.hpp"
-#include "common/log.hpp"
-
 namespace sdvm::net {
 
 Status InProcEndpoint::send(const std::string& to,
@@ -22,19 +17,13 @@ void InProcEndpoint::close() {
   }
 }
 
-InProcNetwork::InProcNetwork(std::uint64_t seed) : rng_(seed) {}
+InProcNetwork::InProcNetwork(std::uint64_t seed) : faults_(seed) {}
 
-InProcNetwork::~InProcNetwork() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  timer_cv_.notify_all();
-  if (timer_thread_.joinable()) timer_thread_.join();
-}
+// The timer thread delivers into this fabric; stop it before the tables go.
+InProcNetwork::~InProcNetwork() { faults_.stop(); }
 
 std::unique_ptr<InProcEndpoint> InProcNetwork::attach(Receiver receiver) {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   std::string addr = "inproc:" + std::to_string(next_id_++);
   auto ep = std::make_unique<InProcEndpoint>(this, addr, std::move(receiver));
   endpoints_[addr] = ep.get();
@@ -42,79 +31,17 @@ std::unique_ptr<InProcEndpoint> InProcNetwork::attach(Receiver receiver) {
 }
 
 void InProcNetwork::detach(const std::string& address) {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   endpoints_.erase(address);
 }
 
-void InProcNetwork::set_default_link(LinkModel model) {
-  std::lock_guard lock(mu_);
-  default_link_ = model;
-}
-
-void InProcNetwork::set_link(const std::string& from, const std::string& to,
-                             LinkModel model) {
-  std::lock_guard lock(mu_);
-  links_[{from, to}] = model;
-}
-
-void InProcNetwork::kill(const std::string& address) {
-  std::lock_guard lock(mu_);
-  killed_.insert(address);
-}
-
-bool InProcNetwork::is_killed(const std::string& address) const {
-  std::lock_guard lock(mu_);
-  return killed_.contains(address);
-}
-
-void InProcNetwork::partition(const std::vector<std::string>& a,
-                              const std::vector<std::string>& b) {
-  std::lock_guard lock(mu_);
-  PartitionCut cut;
-  cut.a.insert(a.begin(), a.end());
-  cut.b.insert(b.begin(), b.end());
-  partitioned_.push_back(std::move(cut));
-}
-
-bool InProcNetwork::is_partitioned_locked(const std::string& from,
-                                          const std::string& to) const {
-  for (const PartitionCut& cut : partitioned_) {
-    if ((cut.a.contains(from) && cut.b.contains(to)) ||
-        (cut.b.contains(from) && cut.a.contains(to))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void InProcNetwork::heal() {
-  std::lock_guard lock(mu_);
-  partitioned_.clear();
-  killed_.clear();
-}
-
-void InProcNetwork::set_node_zone(const std::string& address, int zone) {
-  std::lock_guard lock(mu_);
-  node_zone_[address] = zone;
-}
-
-void InProcNetwork::set_zone_link(int from_zone, int to_zone, LinkModel model) {
-  std::lock_guard lock(mu_);
-  zone_links_[{from_zone, to_zone}] = model;
-}
-
-void InProcNetwork::set_delivery_scheduler(DeliveryScheduler scheduler) {
-  std::lock_guard lock(mu_);
-  scheduler_ = std::move(scheduler);
-}
-
 void InProcNetwork::set_trace_hook(TraceHook hook) {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   trace_ = std::move(hook);
 }
 
 LinkStats InProcNetwork::total_stats() const {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   LinkStats total;
   for (const auto& [link, s] : stats_) {
     total.messages += s.messages;
@@ -126,102 +53,44 @@ LinkStats InProcNetwork::total_stats() const {
 
 LinkStats InProcNetwork::stats(const std::string& from,
                                const std::string& to) const {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   auto it = stats_.find({from, to});
   return it == stats_.end() ? LinkStats{} : it->second;
 }
 
 void InProcNetwork::reset_stats() {
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(faults_.mu_);
   stats_.clear();
 }
 
 Status InProcNetwork::send_from(const std::string& from, const std::string& to,
                                 std::vector<std::byte> bytes) {
-  std::function<void()> deliver_fn;
-  Nanos delay = 0;
-  DeliveryScheduler scheduler;
+  using Verdict = FaultModel::Verdict;
+  FaultModel::Decision d;
   {
-    std::lock_guard lock(mu_);
+    std::lock_guard lock(faults_.mu_);
+    const bool known = endpoints_.contains(to);
+    d = faults_.decide_locked(from, to, bytes.size(), known);
+    const bool delivered =
+        d.verdict == Verdict::kNow || d.verdict == Verdict::kLater;
+    if (trace_) trace_(from, to, bytes.size(), delivered);
     auto& st = stats_[{from, to}];
-    auto note = [&](bool delivered) {
-      if (trace_) trace_(from, to, bytes.size(), delivered);
-    };
-    if (killed_.contains(from) || killed_.contains(to)) {
+    if (!delivered) {
       st.dropped++;
-      note(false);
-      // A dead site is a black hole, not an error the sender can see —
-      // failure detection is the cluster manager's job.
-      return Status::ok();
+      if (d.verdict == Verdict::kDrop) return Status::ok();
+      return Status::error(ErrorCode::kUnavailable,
+                           known ? "link to " + to + " severed"
+                                 : "no endpoint " + to);
     }
-    if (is_partitioned_locked(from, to)) {
-      st.dropped++;
-      note(false);
-      return Status::ok();
-    }
-    if (!endpoints_.contains(to)) {
-      st.dropped++;
-      note(false);
-      return Status::error(ErrorCode::kUnavailable, "no endpoint " + to);
-    }
-
-    LinkModel model = default_link_;
-    if (auto it = links_.find({from, to}); it != links_.end()) {
-      model = it->second;
-    } else if (!zone_links_.empty()) {
-      auto zf = node_zone_.find(from);
-      auto zt = node_zone_.find(to);
-      if (zf != node_zone_.end() && zt != node_zone_.end()) {
-        if (auto zit = zone_links_.find({zf->second, zt->second});
-            zit != zone_links_.end()) {
-          model = zit->second;
-        }
-      }
-    }
-    if (model.cut) {
-      st.dropped++;
-      note(false);
-      return Status::ok();
-    }
-    if (model.loss > 0 && rng_.uniform() < model.loss) {
-      st.dropped++;
-      note(false);
-      return Status::ok();
-    }
-
     st.messages++;
     st.bytes += bytes.size();
-    note(true);
-    delay = model.latency +
-            model.per_byte * static_cast<Nanos>(bytes.size());
-    if (model.jitter > 0) {
-      delay += static_cast<Nanos>(
-          rng_.below(static_cast<std::uint64_t>(model.jitter) + 1));
-    }
-    scheduler = scheduler_;
-
-    if (scheduler == nullptr && delay > 0) {
-      // Wall-clock delayed delivery via the timer thread.
-      if (!timer_thread_.joinable()) {
-        timer_thread_ = std::thread([this] { timer_loop(); });
-      }
-      delayed_.push(Pending{WallClock::instance().now() + delay,
-                            delayed_seq_++, to, std::move(bytes)});
-      timer_cv_.notify_one();
-      return Status::ok();
-    }
   }
-
-  if (scheduler != nullptr) {
-    // Sim mode: the event loop owns time.
-    std::string target = to;
+  if (d.verdict == Verdict::kLater) {
     auto payload = std::make_shared<std::vector<std::byte>>(std::move(bytes));
-    scheduler(delay, target, [this, target, payload] {
-      deliver(target, std::move(*payload));
-    });
+    faults_.defer(d, to,
+                  [this, to, payload] { deliver(to, std::move(*payload)); });
     return Status::ok();
   }
-
   deliver(to, std::move(bytes));
   return Status::ok();
 }
@@ -230,35 +99,14 @@ void InProcNetwork::deliver(const std::string& to,
                             std::vector<std::byte> bytes) {
   Receiver receiver;
   {
-    std::lock_guard lock(mu_);
-    if (killed_.contains(to)) return;
+    std::lock_guard lock(faults_.mu_);
+    if (faults_.killed_locked(to)) return;
     auto it = endpoints_.find(to);
     if (it == endpoints_.end()) return;
     receiver = it->second->receiver_;
   }
   // Invoke outside the fabric lock: receivers enqueue into site inboxes.
   if (receiver) receiver(std::move(bytes));
-}
-
-void InProcNetwork::timer_loop() {
-  std::unique_lock lock(mu_);
-  while (!stop_) {
-    if (delayed_.empty()) {
-      timer_cv_.wait(lock, [this] { return stop_ || !delayed_.empty(); });
-      continue;
-    }
-    Nanos now = WallClock::instance().now();
-    if (delayed_.top().due > now) {
-      timer_cv_.wait_for(lock,
-                         std::chrono::nanoseconds(delayed_.top().due - now));
-      continue;
-    }
-    Pending p = std::move(const_cast<Pending&>(delayed_.top()));
-    delayed_.pop();
-    lock.unlock();
-    deliver(p.to, std::move(p.bytes));
-    lock.lock();
-  }
 }
 
 }  // namespace sdvm::net

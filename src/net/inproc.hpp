@@ -1,38 +1,23 @@
-// In-process message fabric. Endpoints are "inproc:<n>" strings. Supports:
-//   * per-link latency/bandwidth model (delayed delivery via either a timer
-//     thread in wall-clock mode or a caller-supplied scheduler in sim mode)
-//   * loss probability, link cuts, partitions, site kill (fault injection)
-//   * per-link traffic counters for the benches
+// In-process message fabric. Endpoints are "inproc:<n>" strings. The fabric
+// is the endpoint table, inline delivery, per-link traffic counters for the
+// benches and a trace hook. Latency, loss, partitions, kills and delayed
+// delivery belong to its FaultModel (faults()), which it asks for a verdict
+// and a delay on every send.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <queue>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/fault_model.hpp"
 #include "net/transport.hpp"
 
 namespace sdvm::net {
-
-struct LinkModel {
-  Nanos latency = 0;       // one-way propagation delay
-  Nanos per_byte = 0;      // serialization cost per payload byte
-  Nanos jitter = 0;        // uniform random extra delay in [0, jitter] —
-                           // enough jitter REORDERS messages (the paper's
-                           // UDP experience; our protocols must tolerate it)
-  double loss = 0.0;       // drop probability in [0,1)
-  bool cut = false;        // hard partition of this directed link
-};
 
 struct LinkStats {
   std::uint64_t messages = 0;
@@ -63,16 +48,9 @@ class InProcEndpoint final : public Transport {
   Receiver receiver_;
 };
 
-/// Hook letting the simulator own delayed delivery: schedule(delay, to, fn)
-/// must run fn after `delay` of *virtual* time. `to` is the destination
-/// address, so the simulator can tag the delivery with the acted-on site
-/// (exploration mode reorders deliveries per-destination).
-using DeliveryScheduler =
-    std::function<void(Nanos, const std::string&, std::function<void()>)>;
-
 class InProcNetwork {
  public:
-  /// seed drives the loss model deterministically.
+  /// seed drives the fault model's loss and jitter draws.
   explicit InProcNetwork(std::uint64_t seed = 1);
   ~InProcNetwork();
 
@@ -83,38 +61,13 @@ class InProcNetwork {
   /// unique_ptr alive as long as they want to receive.
   [[nodiscard]] std::unique_ptr<InProcEndpoint> attach(Receiver receiver);
 
-  /// Default model applied to links without an explicit override.
-  void set_default_link(LinkModel model);
-  void set_link(const std::string& from, const std::string& to,
-                LinkModel model);
-
-  /// Hierarchical zones (SimGrid-style): assign endpoints to zones and give
-  /// zone pairs a link model. Resolution order per send: explicit per-pair
-  /// link, then the (zone(from), zone(to)) model, then the default link.
-  /// Zone ids are small dense integers; a node with no zone uses the
-  /// default link unless a per-pair override exists.
-  void set_node_zone(const std::string& address, int zone);
-  void set_zone_link(int from_zone, int to_zone, LinkModel model);
-
-  /// Kills an endpoint abruptly: all traffic to and from it vanishes.
-  /// Models an uncontrolled site crash.
-  void kill(const std::string& address);
-  [[nodiscard]] bool is_killed(const std::string& address) const;
-
-  /// Cuts every link between group A and group B (both directions).
-  void partition(const std::vector<std::string>& a,
-                 const std::vector<std::string>& b);
-  void heal();
-
-  /// Installs a virtual-time scheduler (sim mode). Without one, delayed
-  /// messages go through an internal timer thread; zero-delay messages are
-  /// always delivered inline on the sender's thread.
-  void set_delivery_scheduler(DeliveryScheduler scheduler);
+  /// The link rules, kills, partitions and delivery scheduler.
+  [[nodiscard]] FaultModel& faults() { return faults_; }
 
   /// Observes every send decision: (from, to, payload bytes, delivered).
-  /// `delivered == false` means the fabric dropped the message (kill, cut,
-  /// partition or loss). Called under the fabric lock — the hook must not
-  /// call back into the network.
+  /// `delivered == false` means the fault model dropped or refused the
+  /// message. Called under the fabric lock — the hook must not call back
+  /// into the network.
   using TraceHook = std::function<void(const std::string&, const std::string&,
                                        std::size_t, bool)>;
   void set_trace_hook(TraceHook hook);
@@ -129,47 +82,16 @@ class InProcNetwork {
 
   Status send_from(const std::string& from, const std::string& to,
                    std::vector<std::byte> bytes);
-  [[nodiscard]] bool is_partitioned_locked(const std::string& from,
-                                           const std::string& to) const;
   void detach(const std::string& address);
   void deliver(const std::string& to, std::vector<std::byte> bytes);
-  void timer_loop();
 
-  mutable std::mutex mu_;
+  // The fields below are guarded by faults_.mu_: one lock per send and one
+  // per delivery covers the fault decision and the fabric's own tables.
+  FaultModel faults_;
   std::unordered_map<std::string, InProcEndpoint*> endpoints_;
-  std::unordered_set<std::string> killed_;
-  std::map<std::pair<std::string, std::string>, LinkModel> links_;
   std::map<std::pair<std::string, std::string>, LinkStats> stats_;
-  LinkModel default_link_;
-  std::unordered_map<std::string, int> node_zone_;
-  std::map<std::pair<int, int>, LinkModel> zone_links_;
-  /// Each partition() call cuts group A from group B; membership is a set
-  /// test so a 500×500 split costs O(1) per send, not a 250k-pair scan.
-  struct PartitionCut {
-    std::unordered_set<std::string> a;
-    std::unordered_set<std::string> b;
-  };
-  std::vector<PartitionCut> partitioned_;
-  DeliveryScheduler scheduler_;
   TraceHook trace_;
-  Xoshiro256 rng_;
   std::uint64_t next_id_ = 1;
-
-  // Wall-clock delayed delivery.
-  struct Pending {
-    Nanos due;
-    std::uint64_t seq;
-    std::string to;
-    std::vector<std::byte> bytes;
-    bool operator>(const Pending& o) const {
-      return std::tie(due, seq) > std::tie(o.due, o.seq);
-    }
-  };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> delayed_;
-  std::uint64_t delayed_seq_ = 0;
-  std::condition_variable timer_cv_;
-  std::thread timer_thread_;
-  bool stop_ = false;
 };
 
 }  // namespace sdvm::net

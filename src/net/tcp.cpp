@@ -344,7 +344,7 @@ TcpTransport::PeerState TcpTransport::peer_state(const std::string& to) const {
   if (it == peers_.end()) return {};
   PeerState s;
   s.known = true;
-  s.unreachable = it->second->unreachable;
+  s.unreachable = it->second->unreachable && !it->second->hook_pending;
   s.last_errno = it->second->last_errno;
   s.queued = it->second->queue.size();
   return s;
@@ -381,12 +381,7 @@ void TcpTransport::loop() {
       arm_timer(now);
       loop_sleeping_ = true;
     }
-    if (!verdicts.empty()) {
-      for (const std::string& addr : verdicts) {
-        if (hook_ && !stopping_.load()) hook_(addr);
-      }
-      verdicts.clear();
-    }
+    announce(verdicts);
 
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), -1);
@@ -455,12 +450,7 @@ void TcpTransport::loop() {
       }
       delivered.clear();
     }
-    if (!verdicts.empty()) {
-      for (const std::string& addr : verdicts) {
-        if (hook_ && !stopping_.load()) hook_(addr);
-      }
-      verdicts.clear();
-    }
+    announce(verdicts);
   }
 
   // Shutdown: connection fds are loop-thread-only, so teardown is plain
@@ -801,6 +791,7 @@ void TcpTransport::drop_connection(Peer& peer) {
 void TcpTransport::declare_unreachable(Peer& peer,
                                        std::vector<std::string>* verdicts) {
   peer.unreachable = true;
+  peer.hook_pending = verdicts != nullptr;
   peer.unreachable_at = now_nanos();
   peer.attempts = 0;
   peer.retry_at = 0;
@@ -818,6 +809,20 @@ void TcpTransport::declare_unreachable(Peer& peer,
                    << std::strerror(peer.last_errno) << "), dropped "
                    << dropped << " queued frame(s)";
   if (verdicts != nullptr) verdicts->push_back(peer.addr);
+}
+
+void TcpTransport::announce(std::vector<std::string>& verdicts) {
+  if (verdicts.empty()) return;
+  for (const std::string& addr : verdicts) {
+    if (hook_ && !stopping_.load()) hook_(addr);
+  }
+  std::lock_guard lock(mu_);
+  for (const std::string& addr : verdicts) {
+    if (auto it = peers_.find(addr); it != peers_.end()) {
+      it->second->hook_pending = false;
+    }
+  }
+  verdicts.clear();
 }
 
 void TcpTransport::update_peer_interest(Peer& peer) {

@@ -108,6 +108,9 @@ class TcpTransport final : public Transport {
   /// Point-in-time view of one peer's health (join-error diagnostics).
   struct PeerState {
     bool known = false;
+    /// Reads true only once the unreachable hook for this verdict has
+    /// returned: an observer that sees the verdict also sees what the hook
+    /// did. (Sends fast-fail from the moment of the verdict.)
     bool unreachable = false;
     int last_errno = 0;     // errno of the last failed connect/send
     std::size_t queued = 0;
@@ -122,6 +125,7 @@ class TcpTransport final : public Transport {
 
   /// Invoked (from the event-loop thread, no locks held) when a peer's
   /// retry budget is exhausted — the transport-level failure verdict.
+  /// peer_state() reports the verdict only after the hook has returned.
   using UnreachableHook = std::function<void(const std::string& address)>;
 
   /// Binds and listens on 127.0.0.1:port (port 0 = ephemeral). Starts the
@@ -199,6 +203,7 @@ class TcpTransport final : public Transport {
     int attempts = 0;                 // failures in the current outage
     int last_errno = 0;
     bool unreachable = false;
+    bool hook_pending = false;        // verdict declared, hook not returned
     Nanos unreachable_at = 0;
     bool ever_connected = false;
     std::uint64_t jitter_state = 0;
@@ -228,6 +233,9 @@ class TcpTransport final : public Transport {
   void connection_broken(Peer& peer, int err, Nanos now,
                          std::vector<std::string>* verdicts);
   void declare_unreachable(Peer& peer, std::vector<std::string>* verdicts);
+  /// Runs the hook for each verdict (no locks held), then publishes the
+  /// verdicts to peer_state(). Clears `verdicts`.
+  void announce(std::vector<std::string>& verdicts);
   void drop_connection(Peer& peer);
   void compose_batch(Peer& peer, Nanos now);
   void update_peer_interest(Peer& peer);

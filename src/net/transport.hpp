@@ -2,14 +2,15 @@
 // network manager "works with physical (ip) addresses only" — a transport
 // moves opaque frames between string-addressed endpoints. Three
 // implementations exist:
-//   * InProcNetwork  — message fabric inside one process, with a latency /
-//     bandwidth / loss / partition model and fault injection (used by the
-//     threads mode and, via a scheduler hook, by sim mode)
+//   * InProcNetwork  — message fabric inside one process (the threads mode
+//     and, via a scheduler hook, sim mode)
 //   * TcpTransport   — real sockets, a single epoll event loop per daemon,
 //     length-prefixed multi-frame batches on the wire (the paper's
 //     deployment)
-//   * FaultyTransport — seeded drop/delay/sever decorator over any of the
-//     above (per frame, even inside a batch)
+//   * FaultyTransport — decorator over any of the above
+// InProcNetwork and FaultyTransport both ask one seeded FaultModel
+// (net/fault_model.hpp) for latency, loss, sever, kill and partition
+// verdicts, per frame even inside a batch.
 //
 // The batched contract shared by all three:
 //   * send() submits ONE frame; implementations may transparently coalesce

@@ -76,15 +76,15 @@ SimCluster::SimCluster(Options options)
       options_.link.loss = std::nextafter(1.0, 0.0);
     }
   }
-  network_.set_default_link(options_.link);
-  network_.set_delivery_scheduler([this](Nanos delay, const std::string& to,
-                                         std::function<void()> fn) {
-    EventTag tag{EventTag::Kind::kDelivery, 0};
-    if (auto it = slot_of_addr_.find(to); it != slot_of_addr_.end()) {
-      tag.actor = it->second;
-    }
-    loop_.schedule_tagged(delay, tag, std::move(fn));
-  });
+  network_.faults().set_default_link(options_.link);
+  network_.faults().set_delivery_scheduler(
+      [this](Nanos delay, const std::string& to, std::function<void()> fn) {
+        EventTag tag{EventTag::Kind::kDelivery, 0};
+        if (auto it = slot_of_addr_.find(to); it != slot_of_addr_.end()) {
+          tag.actor = it->second;
+        }
+        loop_.schedule_tagged(delay, tag, std::move(fn));
+      });
 }
 
 SimCluster::~SimCluster() = default;
@@ -117,7 +117,7 @@ void SimCluster::wire_site(Entry* e, std::size_t slot) {
       static_cast<std::uint32_t>(slot);
   if (e->zone < 0) e->zone = pending_zone_;
   if (e->zone >= 0) {
-    network_.set_node_zone(e->endpoint->local_address(), e->zone);
+    network_.faults().set_node_zone(e->endpoint->local_address(), e->zone);
   }
   if (e->store != nullptr) e->site->attach_state_store(e->store);
 }
@@ -179,7 +179,7 @@ Status SimCluster::add_topology_sites(const SiteConfig& base) {
   const int n = static_cast<int>(zt.zones.size());
   for (int a = 0; a < n; ++a) {
     for (int b = 0; b < n; ++b) {
-      network_.set_zone_link(a, b, zt.link(a, b));
+      network_.faults().set_zone_link(a, b, zt.link(a, b));
     }
   }
   for (int z = 0; z < n; ++z) {
@@ -391,7 +391,7 @@ Result<SiteId> SimCluster::sign_off(std::size_t index) {
 void SimCluster::kill(std::size_t index) {
   Entry* e = entries_.at(index).get();
   e->killed = true;
-  network_.kill(e->endpoint->local_address());
+  network_.faults().kill(e->endpoint->local_address());
 }
 
 Site& SimCluster::restart(std::size_t index) {

@@ -153,7 +153,7 @@ Result<ZoneTable> build_zone_table(const std::vector<ZoneSpec>& zones) {
           m.per_byte = std::max(m.per_byte, up.per_byte);
           m.jitter += up.jitter;
           pass *= 1.0 - up.loss;
-          m.cut = m.cut || up.cut;
+          m.sever = m.sever || up.sever;
         }
       };
       climb(pa);

@@ -12,6 +12,7 @@
 #include "chaos/harness.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
+#include "net/faulty.hpp"
 #include "net/inproc.hpp"
 #include "sim/sim_cluster.hpp"
 
@@ -57,33 +58,75 @@ TEST(ChaosOptionsTest, ConstructorClampsOutOfRangeLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// InProcNetwork: seeded loss/partition behaviour is deterministic
+// The fault model: seeded loss/partition/kill/sever decisions are pure in
+// the seed and identical on the in-proc fabric and on FaultyTransport
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> delivery_trace(std::uint64_t seed) {
-  net::InProcNetwork fabric(seed);
-  net::LinkModel link;
-  link.loss = 0.3;  // no latency: delivery is inline and single-threaded
-  fabric.set_default_link(link);
+/// Stands in for TCP under a FaultyTransport: counts what gets through.
+struct RecordingTransport final : net::Transport {
+  explicit RecordingTransport(std::string address)
+      : self(std::move(address)) {}
+  [[nodiscard]] std::string local_address() const override { return self; }
+  Status send(const std::string&, std::vector<std::byte>) override {
+    ++frames;
+    return Status::ok();
+  }
+  void close() override {}
+
+  std::string self;
+  std::size_t frames = 0;
+};
+
+enum class Fabric { kInProc, kFaulty };
+
+/// 100 sends a -> b over a 30 % lossy link: partitioned for sends 51..60,
+/// b killed for 71..80 (lifted by heal), the link severed for 86..90. One
+/// "from>to:bytes:ok|drop[:unavailable]" line per send.
+std::vector<std::string> delivery_trace(std::uint64_t seed,
+                                        Fabric kind = Fabric::kInProc) {
+  net::LinkModel lossy;
+  lossy.loss = 0.3;  // no latency: delivery is inline and single-threaded
+  net::LinkModel severed = lossy;
+  severed.sever = true;
 
   std::vector<std::string> trace;
-  fabric.set_trace_hook([&trace](const std::string& from,
-                                 const std::string& to, std::size_t bytes,
-                                 bool delivered) {
+  auto note = [&trace](const std::string& from, const std::string& to,
+                       std::size_t bytes, bool delivered) {
     trace.push_back(from + ">" + to + ":" + std::to_string(bytes) +
                     (delivered ? ":ok" : ":drop"));
-  });
+  };
 
+  net::InProcNetwork fabric(seed);
+  fabric.set_trace_hook(note);
   auto a = fabric.attach([](std::vector<std::byte>) {});
   auto b = fabric.attach([](std::vector<std::byte>) {});
+  const std::string from = a->local_address();
+  const std::string to = b->local_address();
+
+  auto recorder = std::make_unique<RecordingTransport>(from);
+  RecordingTransport* inner = recorder.get();
+  net::FaultyTransport::Options fopt;
+  fopt.seed = seed;
+  net::FaultyTransport faulty(std::move(recorder), fopt);
+
+  const bool inproc = kind == Fabric::kInProc;
+  net::Transport& sender = inproc ? static_cast<net::Transport&>(*a) : faulty;
+  net::FaultModel& faults = inproc ? fabric.faults() : faulty.faults();
+  faults.set_default_link(lossy);
   for (int i = 0; i < 100; ++i) {
     std::vector<std::byte> payload(static_cast<std::size_t>(i % 17 + 1));
-    (void)a->send(b->local_address(), payload);
-    if (i == 50) {
-      fabric.partition({a->local_address()}, {b->local_address()});
-    }
-    if (i == 60) fabric.heal();
+    const std::size_t before = inner->frames;
+    Status st = sender.send(to, payload);
+    if (!inproc) note(from, to, payload.size(), inner->frames > before);
+    if (st.code() == ErrorCode::kUnavailable) trace.back() += ":unavailable";
+    if (i == 50) faults.partition({from}, {to});
+    if (i == 60) faults.heal();
+    if (i == 70) faults.kill(to);
+    if (i == 80) faults.heal();
+    if (i == 85) faults.set_link(from, to, severed);
+    if (i == 90) faults.set_link(from, to, lossy);
   }
+  faulty.close();
   return trace;
 }
 
@@ -97,6 +140,30 @@ TEST(ChaosNetworkTest, SameSeedSameDeliveryTrace) {
     EXPECT_TRUE(first[static_cast<std::size_t>(i)].ends_with(":drop"))
         << "message " << i << " crossed an active partition";
   }
+}
+
+TEST(ChaosNetworkTest, SameSeedSameTraceOnBothFabrics) {
+  for (std::uint64_t seed : {7u, 99u, 100u}) {
+    EXPECT_EQ(delivery_trace(seed, Fabric::kInProc),
+              delivery_trace(seed, Fabric::kFaulty))
+        << "seed " << seed;
+  }
+  auto trace = delivery_trace(99, Fabric::kFaulty);
+  ASSERT_EQ(trace.size(), 100u);
+  auto at = [&](int i) { return trace[static_cast<std::size_t>(i)]; };
+  for (int i = 71; i <= 80; ++i) {
+    EXPECT_TRUE(at(i).ends_with(":drop")) << "message " << i << " reached a "
+                                          << "killed site";
+  }
+  for (int i = 86; i <= 90; ++i) {
+    EXPECT_TRUE(at(i).ends_with(":drop:unavailable"))
+        << "message " << i << " crossed a severed link";
+  }
+  const auto delivered = std::count_if(trace.begin(), trace.end(), [](auto& l) {
+    return l.ends_with(":ok");
+  });
+  EXPECT_GT(delivered, 40) << "loss dropped too much";
+  EXPECT_LT(delivered, 70) << "loss dropped too little";
 }
 
 TEST(ChaosNetworkTest, DifferentSeedsDiverge) {

@@ -154,8 +154,8 @@ TEST(LossyNetworkTest, ProgramSurvivesModerateLossViaRetries) {
   auto addr = [&](std::size_t i) {
     return cluster.site(i).transport()->local_address();
   };
-  cluster.network().set_link(addr(1), addr(2), lossy);
-  cluster.network().set_link(addr(2), addr(1), lossy);
+  cluster.network().faults().set_link(addr(1), addr(2), lossy);
+  cluster.network().faults().set_link(addr(2), addr(1), lossy);
 
   apps::PrimesParams params;
   params.p = 15;

@@ -58,11 +58,31 @@ TEST(InProcTest, KilledEndpointBlackHoles) {
   std::atomic<int> count{0};
   auto a = net.attach([&](std::vector<std::byte>) { count++; });
   auto b = net.attach([](std::vector<std::byte>) {});
-  net.kill(a->local_address());
+  net.faults().kill(a->local_address());
   // Sends "succeed" (the sender can't tell) but nothing arrives.
   EXPECT_TRUE(b->send(a->local_address(), bytes_of("x")).is_ok());
   EXPECT_EQ(count.load(), 0);
-  EXPECT_TRUE(net.is_killed(a->local_address()));
+  EXPECT_TRUE(net.faults().is_killed(a->local_address()));
+}
+
+TEST(InProcTest, KillSwallowsFramesInFlight) {
+  InProcNetwork net;
+  LinkModel slow;
+  slow.latency = 1'000'000;
+  net.faults().set_default_link(slow);
+  std::vector<std::function<void()>> scheduled;
+  net.faults().set_delivery_scheduler(
+      [&](Nanos, const std::string&, std::function<void()> fn) {
+        scheduled.push_back(std::move(fn));
+      });
+  std::atomic<int> count{0};
+  auto a = net.attach([&](std::vector<std::byte>) { count++; });
+  auto b = net.attach([](std::vector<std::byte>) {});
+  ASSERT_TRUE(b->send(a->local_address(), bytes_of("x")).is_ok());
+  ASSERT_EQ(scheduled.size(), 1u);
+  net.faults().kill(a->local_address());
+  scheduled[0]();
+  EXPECT_EQ(count.load(), 0) << "a frame in flight reached a killed site";
 }
 
 TEST(InProcTest, PartitionCutsBothDirections) {
@@ -70,12 +90,12 @@ TEST(InProcTest, PartitionCutsBothDirections) {
   std::atomic<int> a_got{0}, b_got{0};
   auto a = net.attach([&](std::vector<std::byte>) { a_got++; });
   auto b = net.attach([&](std::vector<std::byte>) { b_got++; });
-  net.partition({a->local_address()}, {b->local_address()});
+  net.faults().partition({a->local_address()}, {b->local_address()});
   EXPECT_TRUE(b->send(a->local_address(), bytes_of("x")).is_ok());
   EXPECT_TRUE(a->send(b->local_address(), bytes_of("y")).is_ok());
   EXPECT_EQ(a_got.load(), 0);
   EXPECT_EQ(b_got.load(), 0);
-  net.heal();
+  net.faults().heal();
   EXPECT_TRUE(b->send(a->local_address(), bytes_of("x")).is_ok());
   EXPECT_EQ(a_got.load(), 1);
 }
@@ -87,7 +107,7 @@ TEST(InProcTest, LossModelDropsDeterministically) {
   auto b = net.attach([](std::vector<std::byte>) {});
   LinkModel lossy;
   lossy.loss = 0.5;
-  net.set_link(b->local_address(), a->local_address(), lossy);
+  net.faults().set_link(b->local_address(), a->local_address(), lossy);
   for (int i = 0; i < 200; ++i) {
     (void)b->send(a->local_address(), bytes_of("x"));
   }
@@ -117,7 +137,7 @@ TEST(InProcTest, WallClockDelayedDelivery) {
   InProcNetwork net;
   LinkModel slow;
   slow.latency = 20'000'000;  // 20 ms
-  net.set_default_link(slow);
+  net.faults().set_default_link(slow);
   std::atomic<Nanos> arrival{0};
   auto a = net.attach([&](std::vector<std::byte>) {
     arrival.store(WallClock::instance().now());
@@ -138,9 +158,9 @@ TEST(InProcTest, SchedulerHookOwnsDelivery) {
   InProcNetwork net;
   LinkModel slow;
   slow.latency = 1'000'000;
-  net.set_default_link(slow);
+  net.faults().set_default_link(slow);
   std::vector<std::pair<Nanos, std::function<void()>>> scheduled;
-  net.set_delivery_scheduler(
+  net.faults().set_delivery_scheduler(
       [&](Nanos delay, const std::string&, std::function<void()> fn) {
         scheduled.emplace_back(delay, std::move(fn));
       });
@@ -160,9 +180,9 @@ TEST(InProcTest, JitterVariesDelay) {
   LinkModel model;
   model.latency = 1'000;
   model.jitter = 100'000;
-  net.set_default_link(model);
+  net.faults().set_default_link(model);
   std::vector<Nanos> delays;
-  net.set_delivery_scheduler(
+  net.faults().set_delivery_scheduler(
       [&](Nanos delay, const std::string&, std::function<void()> fn) {
         delays.push_back(delay);
         fn();
@@ -186,9 +206,9 @@ TEST(InProcTest, PerByteCostAddsToDelay) {
   LinkModel model;
   model.latency = 100;
   model.per_byte = 10;
-  net.set_default_link(model);
+  net.faults().set_default_link(model);
   std::vector<Nanos> delays;
-  net.set_delivery_scheduler(
+  net.faults().set_delivery_scheduler(
       [&](Nanos delay, const std::string&, std::function<void()> fn) {
         delays.push_back(delay);
         fn();

@@ -355,7 +355,7 @@ TEST(SimDynamicTest, KillThenRejoinUnderPartition) {
   auto addr = [&](std::size_t i) {
     return cluster.site(i).transport()->local_address();
   };
-  cluster.network().partition({addr(0), addr(1)}, {addr(2), addr(3)});
+  cluster.network().faults().partition({addr(0), addr(1)}, {addr(2), addr(3)});
   cluster.kill(3);
 
   // The replacement signs on via the home site, which the partition does
@@ -365,10 +365,10 @@ TEST(SimDynamicTest, KillThenRejoinUnderPartition) {
 
   // Let the failure detector fire on both sides of the cut, then heal.
   cluster.loop().run_for(kNanosPerSecond);
-  cluster.network().heal();
+  cluster.network().faults().heal();
   // heal() clears the fabric's kill set too; the crashed site must stay
   // black-holed.
-  cluster.network().kill(addr(3));
+  cluster.network().faults().kill(addr(3));
 
   auto code = cluster.run_program(pid.value(), 3000 * kNanosPerSecond);
   ASSERT_TRUE(code.is_ok()) << code.status().to_string();

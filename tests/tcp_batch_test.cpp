@@ -346,8 +346,7 @@ TEST(FaultyBatchTest, BatchFaultDecisionsMatchPerFrameSends) {
   };
   net::FaultyTransport::Options fopts;
   fopts.seed = 99;
-  fopts.base.drop = 0.4;
-  fopts.classifier = [](std::span<const std::byte>) { return -1; };
+  fopts.base.loss = 0.4;
 
   auto inner_a = std::make_unique<RecordingTransport>();
   auto* rec_a = inner_a.get();
@@ -376,41 +375,13 @@ TEST(FaultyBatchTest, BatchFaultDecisionsMatchPerFrameSends) {
   faulty_b.close();
 }
 
-TEST(FaultyBatchTest, KindRuleHitsOnlyMatchingFramesInsideBatch) {
-  net::FaultyTransport::Options fopts;
-  fopts.seed = 7;
-  // Classify by first byte; kind 1 is always dropped, others untouched.
-  fopts.classifier = [](std::span<const std::byte> f) {
-    return f.empty() ? -1 : static_cast<int>(f[0]) & 0xff;
-  };
-  auto inner = std::make_unique<RecordingTransport>();
-  auto* rec = inner.get();
-  net::FaultyTransport faulty(std::move(inner), fopts);
-  net::FaultRule drop_all;
-  drop_all.drop = 0.999999;
-  faulty.set_kind_rule(1, drop_all);
-
-  std::vector<net::Frame> burst;
-  for (int i = 0; i < 10; ++i) {
-    net::Frame f(4, std::byte{static_cast<unsigned char>(i % 2)});
-    burst.push_back(std::move(f));
-  }
-  ASSERT_TRUE(faulty.send_batch("x:1", std::move(burst)).is_ok());
-  std::lock_guard lk(rec->m);
-  ASSERT_EQ(rec->frames.size(), 5u);  // only the kind-0 frames survive
-  for (auto& [to, f] : rec->frames) {
-    EXPECT_EQ(static_cast<int>(f[0]), 0);
-  }
-  faulty.close();
-}
-
 TEST(FaultyBatchTest, SeveredBatchReportsUnavailableAndDropsAll) {
   auto inner = std::make_unique<RecordingTransport>();
   auto* rec = inner.get();
-  net::FaultyTransport::Options fopts;
-  fopts.classifier = [](std::span<const std::byte>) { return -1; };
-  net::FaultyTransport faulty(std::move(inner), fopts);
-  faulty.sever("x:1", true);
+  net::FaultyTransport faulty(std::move(inner), {});
+  net::LinkModel severed;
+  severed.sever = true;
+  faulty.faults().set_link(faulty.local_address(), "x:1", severed);
 
   std::vector<net::Frame> burst;
   burst.push_back(bytes_of("a"));
@@ -422,6 +393,29 @@ TEST(FaultyBatchTest, SeveredBatchReportsUnavailableAndDropsAll) {
     EXPECT_TRUE(rec->frames.empty());
   }
   EXPECT_EQ(faulty.stats().severed, 2u);
+  faulty.close();
+}
+
+TEST(FaultyBatchTest, KillSwallowsDelayedFrames) {
+  auto inner = std::make_unique<RecordingTransport>();
+  auto* rec = inner.get();
+  net::FaultyTransport::Options fopts;
+  fopts.base.latency = 100'000'000;  // 100 ms on the model's timer
+  net::FaultyTransport faulty(std::move(inner), fopts);
+  ASSERT_TRUE(faulty.send("x:1", bytes_of("late")).is_ok());
+  ASSERT_TRUE(faulty.send("x:2", bytes_of("late")).is_ok());
+  faulty.faults().kill("x:1");
+  ASSERT_TRUE(wait_until([&] {
+    std::lock_guard lk(rec->m);
+    return !rec->frames.empty();
+  }, 5e9));
+  {
+    // The timer releases frames in due order, so x:1 was decided first.
+    std::lock_guard lk(rec->m);
+    ASSERT_EQ(rec->frames.size(), 1u) << "a frame in flight reached a killed peer";
+    EXPECT_EQ(rec->frames[0].first, "x:2");
+  }
+  EXPECT_EQ(faulty.stats().delayed, 2u);
   faulty.close();
 }
 

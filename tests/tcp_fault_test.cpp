@@ -264,13 +264,15 @@ TEST(FaultyTransportTest, SeverAndHeal) {
   fopt.seed = 42;
   net::FaultyTransport faulty(std::move(inner).value(), fopt);
 
-  faulty.sever(addr, true);
+  net::LinkModel severed;
+  severed.sever = true;
+  faulty.faults().set_link(faulty.local_address(), addr, severed);
   Status st = faulty.send(addr, bytes_of("lost"));
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
   EXPECT_GE(faulty.stats().severed, 1u);
   EXPECT_EQ(received.load(), 0);
 
-  faulty.sever(addr, false);
+  faulty.faults().set_link(faulty.local_address(), addr, net::LinkModel{});
   ASSERT_TRUE(faulty.send(addr, bytes_of("healed")).is_ok());
   EXPECT_TRUE(wait_until([&] { return received.load() >= 1; }, 5000));
   faulty.close();
@@ -285,7 +287,7 @@ TEST(FaultyTransportTest, DropPatternIsDeterministicPerSeed) {
     EXPECT_TRUE(inner.is_ok());
     net::FaultyTransport::Options fopt;
     fopt.seed = seed;
-    fopt.base.drop = 0.5;
+    fopt.base.loss = 0.5;
     net::FaultyTransport faulty(std::move(inner).value(), fopt);
     for (int i = 0; i < 200; ++i) {
       (void)faulty.send(dst.value()->local_address(),
@@ -314,51 +316,12 @@ TEST(FaultyTransportTest, DelayedFramesStillArrive) {
   ASSERT_TRUE(inner.is_ok());
   net::FaultyTransport::Options fopt;
   fopt.seed = 3;
-  fopt.base.delay = 20'000'000;  // 20 ms
+  fopt.base.latency = 20'000'000;  // 20 ms
   net::FaultyTransport faulty(std::move(inner).value(), fopt);
   ASSERT_TRUE(
       faulty.send(dst.value()->local_address(), bytes_of("later")).is_ok());
   EXPECT_GE(faulty.stats().delayed, 1u);
   EXPECT_TRUE(wait_until([&] { return received.load() >= 1; }, 5000));
-  faulty.close();
-  dst.value()->close();
-}
-
-TEST(FaultyTransportTest, KindRuleHitsOnlyMatchingFrames) {
-  std::mutex mu;
-  std::vector<std::string> got;
-  auto dst = net::TcpTransport::listen(0, [&](std::vector<std::byte> b) {
-    std::lock_guard lk(mu);
-    got.emplace_back(reinterpret_cast<const char*>(b.data()), b.size());
-  });
-  ASSERT_TRUE(dst.is_ok());
-  auto inner = net::TcpTransport::listen(0, [](std::vector<std::byte>) {});
-  ASSERT_TRUE(inner.is_ok());
-  net::FaultyTransport::Options fopt;
-  fopt.seed = 5;
-  // Classify frames by their first byte so the rule is easy to aim.
-  fopt.classifier = [](std::span<const std::byte> frame) {
-    return frame.empty() ? -1 : static_cast<int>(frame.front());
-  };
-  net::FaultyTransport faulty(std::move(inner).value(), fopt);
-  net::FaultRule severed;
-  severed.sever = true;
-  faulty.set_kind_rule('A', severed);
-
-  EXPECT_EQ(faulty.send(dst.value()->local_address(), bytes_of("Attack"))
-                .code(),
-            ErrorCode::kUnavailable);
-  ASSERT_TRUE(
-      faulty.send(dst.value()->local_address(), bytes_of("Benign")).is_ok());
-  ASSERT_TRUE(wait_until(
-      [&] {
-        std::lock_guard lk(mu);
-        return got.size() >= 1;
-      },
-      5000));
-  std::lock_guard lk(mu);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "Benign");
   faulty.close();
   dst.value()->close();
 }
@@ -374,8 +337,8 @@ TEST(TcpNodeFaultTest, ClusterRunsThroughInjectedLatency) {
   opt2.site.name = "jittery";
   net::FaultyTransport::Options faults;
   faults.seed = 11;
-  faults.base.delay = 1'000'000;         // 1 ms on every frame
-  faults.base.delay_jitter = 2'000'000;  // + up to 2 ms, seeded
+  faults.base.latency = 1'000'000;  // 1 ms on every frame
+  faults.base.jitter = 2'000'000;   // + up to 2 ms, seeded
   opt2.faults = faults;
   auto n2 = TcpNode::create(opt2);
   ASSERT_TRUE(n2.is_ok());

@@ -3,8 +3,11 @@
 // true parallelism, real blocking on remote memory.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "test_util.hpp"
 
+#include "api/engine_driver.hpp"
 #include "api/local_cluster.hpp"
 #include "api/program_builder.hpp"
 #include "apps/fibonacci.hpp"
@@ -16,6 +19,23 @@ namespace sdvm {
 namespace {
 
 constexpr Nanos kWaitLimit = 30 * kNanosPerSecond;
+
+TEST(EngineDriverTest, NotifyBeforeWaitIsNotLost) {
+  // The engine pumps, then waits: a poke landing between the two must cut
+  // the wait short instead of being lost until the timeout.
+  EngineDriver driver;
+  driver.notify_work();
+  auto start = std::chrono::steady_clock::now();
+  driver.wait(2 * kNanosPerSecond);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+
+  // The poke is consumed: the next wait sleeps until its timeout.
+  start = std::chrono::steady_clock::now();
+  driver.wait(20'000'000);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(15));
+}
 
 TEST(ThreadedTest, HelloWorld) {
   LocalCluster cluster;
