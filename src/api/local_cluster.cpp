@@ -14,8 +14,9 @@ LocalCluster::~LocalCluster() {
   for (auto& e : entries_) {
     if (e->engine.joinable()) e->engine.join();
   }
-  // Stop worker pools before the fabric goes away.
+  // Stop worker pools and delayed deliveries before the sites go away.
   for (auto& e : entries_) e->site->processing().stop();
+  network_.faults().stop();
 }
 
 Site& LocalCluster::add_site(SiteConfig config) {

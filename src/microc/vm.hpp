@@ -61,6 +61,10 @@ class IntrinsicHandler {
   virtual std::int64_t arg(std::int64_t index) = 0;
   virtual std::int64_t num_args() = 0;
   virtual void exit_program(std::int64_t code) = 0;
+
+  /// Instructions executed so far, published just before load/store: a
+  /// remote access may park the microthread there (sim charges up to it).
+  std::uint64_t steps_executed = 0;
 };
 
 /// Intrinsic handlers may throw this to abort the running microthread

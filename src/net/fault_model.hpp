@@ -94,6 +94,8 @@ class FaultModel {
 
   /// Installs a virtual-time scheduler (sim mode); see DeliveryScheduler.
   void set_delivery_scheduler(DeliveryScheduler scheduler);
+  /// Stops the timer thread; frames it still holds are dropped. Idempotent.
+  void stop();
 
  private:
   // The two fabrics guard their own per-frame state with mu_ as well, so
@@ -125,8 +127,6 @@ class FaultModel {
   /// a scheduler may run `fn` before it returns.
   void defer(const Decision& d, const std::string& to,
              std::function<void()> fn);
-  /// Stops the timer thread; frames it still holds are dropped. Idempotent.
-  void stop();
 
   [[nodiscard]] const LinkModel& resolve_locked(const std::string& from,
                                                 const std::string& to) const;

@@ -184,22 +184,24 @@ GlobalAddress AttractionMemory::alloc_object(ProgramId pid,
                    0);
   objects_.emplace(addr, std::move(obj));
 
-  const std::uint32_t s = shard_of(addr);
-  if (shard_authoritative(s)) {
+  if (shard_authoritative(shard_of(addr))) {
     // is_local fast path: we hold the shard lease, register in place.
-    auto& entry = directory_[addr];
-    entry.owner = site_.id();
-    entry.program = pid;
-    return addr;
-  }
-  SiteId route = route_of(s);
-  if (route == site_.id() || route == kInvalidSite) {
-    // Authority is (about to be) ours or unknown: defer to the tick.
-    pending_registers_.push_back(ShardDirEntry{addr, site_.id(), pid});
+    merge_entry({addr, site_.id(), pid});
   } else {
-    send_register(addr, pid, site_.id(), route, 0);
+    register_with_holder(addr, pid, site_.id());
   }
   return addr;
+}
+
+void AttractionMemory::register_with_holder(GlobalAddress addr, ProgramId pid,
+                                            SiteId owner) {
+  SiteId route = route_of(shard_of(addr));
+  if (route == site_.id() || route == kInvalidSite) {
+    // Authority is (about to be) ours or unknown: defer to the tick.
+    pending_registers_.push_back(ShardDirEntry{addr, owner, pid});
+  } else {
+    send_register(addr, pid, owner, route, 0);
+  }
 }
 
 MemObject* AttractionMemory::local_object(GlobalAddress addr) {
@@ -222,12 +224,19 @@ void AttractionMemory::install_object(MemObject obj) {
   }
 }
 
-void AttractionMemory::evict_object(GlobalAddress addr) {
-  objects_.erase(addr);
+void AttractionMemory::take_custody(MemObject obj) {
+  GlobalAddress addr = obj.addr;
+  ProgramId pid = obj.program;
+  install_object(std::move(obj));
+  if (shard_authoritative(shard_of(addr))) {
+    grant_next(addr);
+  } else {
+    register_with_holder(addr, pid, site_.id());
+  }
 }
 
-void AttractionMemory::set_directory_owner(GlobalAddress addr, SiteId owner) {
-  directory_[addr].owner = owner;
+void AttractionMemory::evict_object(GlobalAddress addr) {
+  objects_.erase(addr);
 }
 
 SiteId AttractionMemory::directory_owner(GlobalAddress addr) const {
@@ -236,34 +245,35 @@ SiteId AttractionMemory::directory_owner(GlobalAddress addr) const {
   return it == directory_.end() ? kInvalidSite : it->second.owner;
 }
 
-Result<MemObject*> AttractionMemory::attract(
-    GlobalAddress addr, std::shared_ptr<FetchState>* wait) {
-  if (auto* obj = local_object(addr); obj != nullptr) {
+namespace {
+Result<std::int64_t> apply_access(MemObject& obj, std::int64_t index,
+                                  std::optional<std::int64_t> store) {
+  if (index < 0 || static_cast<std::size_t>(index) >= obj.words.size()) {
+    return Status::error(ErrorCode::kInvalidArgument,
+                         "memory index out of range");
+  }
+  std::int64_t& word = obj.words[static_cast<std::size_t>(index)];
+  if (store.has_value()) word = *store;
+  return word;
+}
+}  // namespace
+
+Result<std::int64_t> AttractionMemory::access(
+    GlobalAddress addr, std::int64_t index, std::optional<std::int64_t> store,
+    std::shared_ptr<WaitCell>* wait) {
+  if (MemObject* obj = local_object(addr); obj != nullptr) {
     ++local_hits;
-    return obj;
+    return apply_access(*obj, index, store);
   }
-
-  if (sim_fetch_) {
-    // Sim mode: the oracle migrates the object here immediately and
-    // reports the modeled round-trip stall.
+  // Park the access on (or start) a fetch; settle_fetch performs it.
+  auto cell = std::make_shared<WaitCell>();
+  *wait = cell;
+  auto [it, fresh] = fetching_.try_emplace(addr);
+  it->second.push_back(PendingAccess{std::move(cell), index, store});
+  if (fresh) {
     ++remote_fetches;
-    MemObject obj;
-    auto stall = sim_fetch_(addr, &obj);
-    if (!stall.is_ok()) return stall.status();
-    sim_stall_ += stall.value();
-    ++migrations_in;
-    install_object(std::move(obj));
-    return local_object(addr);
-  }
-
-  // Threaded modes: park on (or start) a fetch.
-  auto it = fetching_.find(addr);
-  if (it == fetching_.end()) {
-    ++remote_fetches;
-    it = fetching_.emplace(addr, std::make_shared<FetchState>()).first;
     begin_fetch(addr);
   }
-  *wait = it->second;
   return Status::error(ErrorCode::kUnavailable, "fetch in progress");
 }
 
@@ -282,7 +292,6 @@ void AttractionMemory::begin_fetch(GlobalAddress addr) {
     }
     Waiter w;
     w.requester = site_.id();
-    w.local = fetching_[addr];
     dit->second.waiters.push_back(std::move(w));
     grant_next(addr);
     return;
@@ -326,27 +335,66 @@ void AttractionMemory::begin_fetch(GlobalAddress addr) {
       return;
     }
     if (r.value().type != MsgType::kObjectGrant) {
-      auto node = fetching_.extract(addr);
-      fetch_retries_.erase(addr);
-      if (!node.empty()) {
-        node.mapped()->signal(
-            Status::error(ErrorCode::kNotFound, "object miss"));
-      }
+      settle_fetch(addr, Status::error(ErrorCode::kNotFound, "object miss"));
       return;
     }
     ByteReader rd(r.value().payload);
     auto obj = MemObject::deserialize(rd);
-    auto node = fetching_.extract(addr);
-    fetch_retries_.erase(addr);
-    if (node.empty()) return;
     if (!obj.is_ok()) {
-      node.mapped()->signal(obj.status());
+      settle_fetch(addr, obj.status());
       return;
     }
     ++migrations_in;
     install_object(std::move(obj).value());
-    node.mapped()->signal(Status::ok());
+    settle_fetch(addr, Status::ok());
   });
+}
+
+void AttractionMemory::settle_fetch(GlobalAddress addr, Status st) {
+  fetch_retries_.erase(addr);
+  auto node = fetching_.extract(addr);
+  MemObject* obj = st.is_ok() ? local_object(addr) : nullptr;
+  if (st.is_ok() && obj == nullptr) {
+    st = Status::error(ErrorCode::kNotFound, "object lost");
+  }
+  // Parked accesses are performed now, while the object is certainly here:
+  // a recall queued behind the grant would otherwise take it away before
+  // any of them retried, and under contention none would ever progress.
+  for (PendingAccess& a : node.empty() ? std::vector<PendingAccess>{}
+                                       : std::move(node.mapped())) {
+    if (obj == nullptr) {
+      a.cell->signal(st);
+      continue;
+    }
+    auto r = apply_access(*obj, a.index, a.store);
+    if (r.is_ok()) a.cell->word = r.value();
+    a.cell->signal(r.is_ok() ? Status::ok() : r.status());
+  }
+  answer_early_recalls(addr);
+  relocate_leftovers();
+}
+
+void AttractionMemory::answer_early_recalls(GlobalAddress addr) {
+  if (auto early = early_recalls_.extract(addr); !early.empty()) {
+    for (const SdMessage& recall : early.mapped()) answer_recall(recall, addr);
+  }
+}
+
+void AttractionMemory::answer_recall(const SdMessage& recall,
+                                     GlobalAddress addr) {
+  SdMessage reply;
+  reply.src_mgr = reply.dst_mgr = ManagerId::kAttractionMemory;
+  if (MemObject* obj = local_object(addr); obj != nullptr) {
+    ByteWriter bw;
+    obj->serialize(bw);
+    evict_object(addr);
+    ++migrations_out;
+    reply.type = MsgType::kObjectReturn;
+    reply.payload = bw.take();
+  } else {
+    reply.type = MsgType::kObjectMiss;
+  }
+  (void)site_.messages().respond(recall, std::move(reply));
 }
 
 void AttractionMemory::retry_fetch(GlobalAddress addr,
@@ -354,12 +402,8 @@ void AttractionMemory::retry_fetch(GlobalAddress addr,
   constexpr int kMaxFetchRetries = 32;
   int& n = fetch_retries_[addr];
   if (++n > kMaxFetchRetries) {
-    fetch_retries_.erase(addr);
-    auto node = fetching_.extract(addr);
-    if (!node.empty()) {
-      node.mapped()->signal(Status::error(
-          ErrorCode::kUnavailable, "object fetch failed: " + why));
-    }
+    settle_fetch(addr, Status::error(ErrorCode::kUnavailable,
+                                     "object fetch failed: " + why));
     return;
   }
   // Back off one help-retry interval: lease announcements and takeovers
@@ -368,33 +412,6 @@ void AttractionMemory::retry_fetch(GlobalAddress addr,
   site_.schedule_after(site_.config().help_retry_interval, [this, addr] {
     if (fetching_.contains(addr)) begin_fetch(addr);
   });
-}
-
-Result<std::int64_t> AttractionMemory::try_read_word(
-    GlobalAddress addr, std::int64_t index,
-    std::shared_ptr<FetchState>* wait) {
-  auto obj = attract(addr, wait);
-  if (!obj.is_ok()) return obj.status();
-  auto& words = obj.value()->words;
-  if (index < 0 || static_cast<std::size_t>(index) >= words.size()) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "memory index out of range");
-  }
-  return words[static_cast<std::size_t>(index)];
-}
-
-Status AttractionMemory::try_write_word(GlobalAddress addr,
-                                        std::int64_t index, std::int64_t value,
-                                        std::shared_ptr<FetchState>* wait) {
-  auto obj = attract(addr, wait);
-  if (!obj.is_ok()) return obj.status();
-  auto& words = obj.value()->words;
-  if (index < 0 || static_cast<std::size_t>(index) >= words.size()) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "memory index out of range");
-  }
-  words[static_cast<std::size_t>(index)] = value;
-  return Status::ok();
 }
 
 void AttractionMemory::grant_next(GlobalAddress addr) {
@@ -409,8 +426,7 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
 
     if (w.requester == site_.id()) {
       // Our own fetch: object is already local.
-      fetching_.erase(addr);
-      if (w.local) w.local->signal(Status::ok());
+      settle_fetch(addr, Status::ok());
     } else {
       MemObject* obj = local_object(addr);
       ByteWriter bw;
@@ -448,20 +464,7 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
       if (r.is_ok() && r.value().type == MsgType::kObjectReturn) {
         ByteReader rd(r.value().payload);
         auto obj = MemObject::deserialize(rd);
-        if (obj.is_ok()) {
-          ProgramId pid = obj.value().program;
-          install_object(std::move(obj).value());
-          const std::uint32_t s = shard_of(addr);
-          if (!shard_authoritative(s)) {
-            SiteId route = route_of(s);
-            if (route != site_.id() && route != kInvalidSite) {
-              send_register(addr, pid, site_.id(), route, 0);
-            } else {
-              pending_registers_.push_back(
-                  ShardDirEntry{addr, site_.id(), pid});
-            }
-          }
-        }
+        if (obj.is_ok()) take_custody(std::move(obj).value());
       }
       return;
     }
@@ -477,8 +480,7 @@ void AttractionMemory::grant_next(GlobalAddress addr) {
       d2.waiters.clear();
       for (auto& w : waiters) {
         if (w.requester == site_.id()) {
-          fetching_.erase(addr);
-          if (w.local) w.local->signal(failure);
+          settle_fetch(addr, failure);
         } else {
           SdMessage miss;
           miss.dst = w.requester;
@@ -520,19 +522,20 @@ void AttractionMemory::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         GlobalAddress addr = r.address();
-        SdMessage reply;
-        reply.src_mgr = reply.dst_mgr = ManagerId::kAttractionMemory;
-        if (MemObject* obj = local_object(addr); obj != nullptr) {
-          ByteWriter bw;
-          obj->serialize(bw);
-          evict_object(addr);
-          ++migrations_out;
-          reply.type = MsgType::kObjectReturn;
-          reply.payload = bw.take();
+        if (msg.src != site_.id() && local_object(addr) == nullptr &&
+            fetching_.contains(addr)) {
+          // The recall may have overtaken the grant bringing the object
+          // (latency or jitter reorder a link); a "miss" would make the
+          // mediator declare it lost. Answer when our fetch settles, or
+          // after the failure timeout: no grant may be coming at all (a
+          // departed owner's successor is recalled from). A loopback
+          // recall never waits: we are the mediator.
+          early_recalls_[addr].push_back(msg);
+          site_.schedule_after(site_.config().failure_timeout,
+                               [this, addr] { answer_early_recalls(addr); });
         } else {
-          reply.type = MsgType::kObjectMiss;
+          answer_recall(msg, addr);
         }
-        (void)site_.messages().respond(msg, std::move(reply));
       } catch (const DecodeError&) {
       }
       break;
@@ -546,24 +549,7 @@ void AttractionMemory::handle(const SdMessage& msg) {
       try {
         ByteReader r(msg.payload);
         auto obj = MemObject::deserialize(r);
-        if (obj.is_ok()) {
-          GlobalAddress addr = obj.value().addr;
-          ProgramId pid = obj.value().program;
-          install_object(std::move(obj).value());
-          const std::uint32_t s = shard_of(addr);
-          if (shard_authoritative(s)) {
-            directory_[addr].owner = site_.id();
-            grant_next(addr);
-          } else {
-            SiteId route = route_of(s);
-            if (route != site_.id() && route != kInvalidSite) {
-              send_register(addr, pid, site_.id(), route, 0);
-            } else {
-              pending_registers_.push_back(
-                  ShardDirEntry{addr, site_.id(), pid});
-            }
-          }
-        }
+        if (obj.is_ok()) take_custody(std::move(obj).value());
       } catch (const DecodeError&) {
       }
       break;
@@ -591,13 +577,7 @@ void AttractionMemory::handle(const SdMessage& msg) {
         leases_[s] = ShardLease{site_.id(), h.value().epoch};
         max_epoch_seen_[s] =
             std::max(max_epoch_seen_[s], h.value().epoch);
-        for (const ShardDirEntry& e : h.value().entries) {
-          auto& entry = directory_[e.addr];
-          if (entry.owner == kInvalidSite) {
-            entry.owner = e.owner;
-            entry.program = e.program;
-          }
-        }
+        for (const ShardDirEntry& e : h.value().entries) merge_entry(e);
         announce_leases({{s, site_.id(), h.value().epoch}});
         SDVM_DEBUG(site_.tag())
             << "shard " << s << " handed off to us at epoch "
@@ -648,28 +628,11 @@ void AttractionMemory::handle(const SdMessage& msg) {
       }
       break;
     }
-    case MsgType::kShardRecoverReply: {
+    case MsgType::kShardRecoverReply:
       // Unsolicited (relayed after a sign-off): merge like a register batch
       // if we are authoritative for the shard.
-      try {
-        ByteReader r(msg.payload);
-        auto rep = ShardRecoverReply::deserialize(r);
-        if (!rep.is_ok()) break;
-        const std::uint32_t s = rep.value().shard;
-        if (!shard_authoritative(s)) break;
-        for (const ShardDirEntry& e : rep.value().entries) {
-          auto& entry = directory_[e.addr];
-          if (entry.owner == kInvalidSite ||
-              (e.owner == msg.src && entry.owner != e.owner)) {
-            entry.owner = e.owner;
-            entry.program = e.program;
-          }
-        }
-        drain_parked(s);
-      } catch (const DecodeError&) {
-      }
+      if (auto s = absorb_recover_reply(msg)) drain_parked(*s);
       break;
-    }
     case MsgType::kShardRegister:
       process_register(msg, site_.clock().now());
       break;
@@ -786,25 +749,15 @@ void AttractionMemory::restore_snapshot(ByteReader& r) {
     GlobalAddress addr = r.address();
     SiteId owner = r.site();
     ProgramId pid = r.program();
-    const std::uint32_t s = shard_of(addr);
-    if (shard_authoritative(s)) {
-      auto& entry = directory_[addr];
-      if (entry.owner == kInvalidSite) {
-        entry.owner = owner;
-        entry.program = pid;
-      }
+    if (shard_authoritative(shard_of(addr))) {
+      merge_entry(ShardDirEntry{addr, owner, pid});
       continue;
     }
     // Restored from a checkpoint (or an import blob) on a site that does
     // not mediate this shard: route the entry to the current holder. This
     // is how a handed-off shard survives a cold restart — recovery lands
     // the entries wherever the lease now lives.
-    SiteId route = route_of(s);
-    if (route != site_.id() && route != kInvalidSite) {
-      send_register(addr, pid, owner, route, 0);
-    } else {
-      pending_registers_.push_back(ShardDirEntry{addr, owner, pid});
-    }
+    register_with_holder(addr, pid, owner);
   }
 }
 
@@ -843,10 +796,8 @@ void AttractionMemory::relocate_all_to(SiteId successor) {
   // may lack, shipped as one import blob.
   ByteWriter w;
 
-  auto queued = site_.scheduling().snapshot_frames(ProgramId{});
   // Queued executable frames ride along as ordinary executable frames.
-  // They are appended to the frame section by temporarily adopting them.
-  // (Serialize directly instead.)
+  auto queued = site_.scheduling().snapshot_frames(ProgramId{});
   // -- program infos --
   std::vector<ProgramId> pids = site_.programs().active_programs();
   w.u32(static_cast<std::uint32_t>(pids.size()));
@@ -907,6 +858,15 @@ void AttractionMemory::relocate_all_to(SiteId successor) {
     }
   }
   pending_params_.clear();
+}
+
+void AttractionMemory::relocate_leftovers() {
+  if (!site_.signed_off()) return;
+  const SiteId successor = site_.cluster().resolve_successor(site_.id());
+  if (successor != site_.id() &&
+      frames_.size() + objects_.size() + site_.scheduling().queued_total()) {
+    relocate_all_to(successor);
+  }
 }
 
 void AttractionMemory::drop_program(ProgramId pid) {
@@ -1161,12 +1121,7 @@ void AttractionMemory::begin_rebuild(std::uint32_t s) {
   // Seed from what we physically hold, then ask every live site to
   // re-register its objects of the shard.
   for (const auto& [addr, obj] : objects_) {
-    if (shard_of(addr) != s) continue;
-    auto& e = directory_[addr];
-    if (e.owner == kInvalidSite) {
-      e.owner = site_.id();
-      e.program = obj.program;
-    }
+    if (shard_of(addr) == s) merge_entry({addr, site_.id(), obj.program});
   }
   ShardRecover rec{s, rb.epoch};
   ByteWriter w;
@@ -1185,28 +1140,26 @@ void AttractionMemory::begin_rebuild(std::uint32_t s) {
           ShardRebuild& rb2 = rebuilds_[s];
           if (!rb2.active || rb2.epoch != epoch) return;
           if (r.is_ok() && r.value().type == MsgType::kShardRecoverReply) {
-            try {
-              ByteReader rd(r.value().payload);
-              auto rep = ShardRecoverReply::deserialize(rd);
-              if (rep.is_ok() && rep.value().shard == s &&
-                  shard_authoritative(s)) {
-                for (const ShardDirEntry& e : rep.value().entries) {
-                  auto& entry = directory_[e.addr];
-                  if (entry.owner == kInvalidSite ||
-                      (e.owner == r.value().src && entry.owner != e.owner)) {
-                    entry.owner = e.owner;
-                    entry.program = e.program;
-                  }
-                }
-              }
-            } catch (const DecodeError&) {
-            }
+            (void)absorb_recover_reply(r.value());
           }
           if (rb2.awaiting > 0) --rb2.awaiting;
           if (rb2.awaiting == 0) complete_rebuild(s);
         });
   }
   if (rb.awaiting == 0) complete_rebuild(s);
+}
+
+std::optional<std::uint32_t> AttractionMemory::absorb_recover_reply(
+    const SdMessage& msg) {
+  try {
+    ByteReader r(msg.payload);
+    auto rep = ShardRecoverReply::deserialize(r);
+    if (!rep.is_ok() || !shard_authoritative(rep.value().shard)) return {};
+    for (const ShardDirEntry& e : rep.value().entries) merge_entry(e, msg.src);
+    return rep.value().shard;
+  } catch (const DecodeError&) {
+    return {};
+  }
 }
 
 void AttractionMemory::complete_rebuild(std::uint32_t s) {
@@ -1315,6 +1268,16 @@ void AttractionMemory::shard_tick() {
   purge_parked();
 }
 
+void AttractionMemory::merge_entry(const ShardDirEntry& e, SiteId reporter) {
+  auto& entry = directory_[e.addr];
+  if (entry.owner == kInvalidSite ||
+      (reporter != kInvalidSite && e.owner == reporter &&
+       entry.owner != e.owner)) {
+    entry.owner = e.owner;
+    entry.program = e.program;
+  }
+}
+
 void AttractionMemory::send_register(GlobalAddress addr, ProgramId pid,
                                      SiteId owner, SiteId route,
                                      std::uint8_t hops) {
@@ -1336,11 +1299,7 @@ void AttractionMemory::flush_pending_registers() {
   for (const ShardDirEntry& e : pending_registers_) {
     const std::uint32_t s = shard_of(e.addr);
     if (shard_authoritative(s)) {
-      auto& entry = directory_[e.addr];
-      if (entry.owner == kInvalidSite) {
-        entry.owner = e.owner;
-        entry.program = e.program;
-      }
+      merge_entry(e);
       continue;
     }
     const SiteId route = route_of(s);
@@ -1399,6 +1358,8 @@ void AttractionMemory::park_local_fetch(GlobalAddress addr) {
 }
 
 void AttractionMemory::drain_parked(std::uint32_t s) {
+  // Deferred registrations land first, or requests parked on them time out.
+  flush_pending_registers();
   if (!parked_remote_[s].empty()) {
     std::deque<ParkedShardMsg> q;
     q.swap(parked_remote_[s]);
@@ -1449,12 +1410,7 @@ void AttractionMemory::purge_parked() {
   }
   for (GlobalAddress a : expired) {
     parked_local_.erase(a);
-    fetch_retries_.erase(a);
-    auto node = fetching_.extract(a);
-    if (!node.empty()) {
-      node.mapped()->signal(
-          Status::error(ErrorCode::kNotFound, "no such object"));
-    }
+    settle_fetch(a, Status::error(ErrorCode::kNotFound, "no such object"));
   }
 }
 
@@ -1533,16 +1489,9 @@ void AttractionMemory::process_register(const SdMessage& msg,
     }
     return;
   }
-  auto& entry = directory_[reg.addr];
-  if (entry.owner == kInvalidSite) {
-    entry.owner = reg.owner;
-    entry.program = reg.program;
-  } else if (reg.owner == msg.src && entry.owner != reg.owner) {
-    // The sender physically holds the object (it re-took custody after a
-    // handoff raced a recall): possession beats a stale entry.
-    entry.owner = reg.owner;
-    entry.program = reg.program;
-  }
+  // The sender may physically hold the object (it re-took custody after a
+  // handoff raced a recall): possession beats a stale entry.
+  merge_entry({reg.addr, reg.owner, reg.program}, msg.src);
   drain_parked(s);
   grant_next(reg.addr);
 }

@@ -22,12 +22,10 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -36,6 +34,7 @@
 #include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/shard_map.hpp"
+#include "runtime/wait_cell.hpp"
 
 namespace sdvm {
 
@@ -98,61 +97,18 @@ class AttractionMemory {
   // --- global memory objects -------------------------------------------------
   GlobalAddress alloc_object(ProgramId pid, std::int64_t nwords);
 
-  /// Synchronization cell for a microthread parked on a remote fetch. The
-  /// worker waits outside the site lock; the pump signals on grant/failure.
-  struct FetchState {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
+  /// Word access from a microthread (site lock held): reads, or writes
+  /// `store`, and returns word `index`. A non-local object starts a fetch
+  /// and sets *wait; the access is then performed when the object lands
+  /// and the cell carries the word.
+  Result<std::int64_t> access(GlobalAddress addr, std::int64_t index,
+                              std::optional<std::int64_t> store,
+                              std::shared_ptr<WaitCell>* wait);
 
-    void wait() {
-      std::unique_lock lk(m);
-      cv.wait(lk, [this] { return done; });
-    }
-    void signal(Status st) {
-      {
-        std::lock_guard lk(m);
-        done = true;
-        status = std::move(st);
-      }
-      cv.notify_all();
-    }
-  };
-
-  /// Non-blocking word access from a running microthread, called under the
-  /// site lock. If the object is local (or the sim oracle attracts it
-  /// immediately, charging the stall), returns the value. Otherwise
-  /// initiates migration and hands back a FetchState to wait on outside
-  /// the lock; the caller retries afterwards.
-  Result<std::int64_t> try_read_word(GlobalAddress addr, std::int64_t index,
-                                     std::shared_ptr<FetchState>* wait);
-  Status try_write_word(GlobalAddress addr, std::int64_t index,
-                        std::int64_t value,
-                        std::shared_ptr<FetchState>* wait);
-
-  /// Virtual stall nanos accumulated by sim-oracle fetches since the last
-  /// call (collected per microthread execution).
-  [[nodiscard]] Nanos take_sim_stall() {
-    Nanos s = sim_stall_;
-    sim_stall_ = 0;
-    return s;
-  }
-  /// Other managers (I/O reroutes) account their sim stalls here too.
-  void add_sim_stall(Nanos stall) { sim_stall_ += std::max<Nanos>(stall, 0); }
-
-  /// Sim-mode oracle: fetches the object from wherever it currently is,
-  /// returns the stall cost in nanos. Installed by the simulator.
-  using SimFetchHook =
-      std::function<Result<Nanos>(GlobalAddress, MemObject* out)>;
-  void set_sim_fetch_hook(SimFetchHook hook) { sim_fetch_ = std::move(hook); }
-
-  /// Direct access for the simulator / checkpointing (object must be local).
+  /// Physically resident objects and the directory's view of an owner
+  /// (tests, invariant checkers).
   [[nodiscard]] MemObject* local_object(GlobalAddress addr);
   [[nodiscard]] bool owns(GlobalAddress addr) const;
-  void install_object(MemObject obj);  // sim oracle / recovery
-  void evict_object(GlobalAddress addr);
-  void set_directory_owner(GlobalAddress addr, SiteId owner);
   [[nodiscard]] SiteId directory_owner(GlobalAddress addr) const;
 
   void handle(const SdMessage& msg);
@@ -205,6 +161,8 @@ class AttractionMemory {
   void restore_snapshot(ByteReader& r);
   /// Moves all local state to `successor` on graceful sign-off.
   void relocate_all_to(SiteId successor);
+  /// After sign-off: sends what a parked microthread left here onward.
+  void relocate_leftovers();
 
   // --- introspection -----------------------------------------------------
   [[nodiscard]] std::size_t frame_count() const { return frames_.size(); }
@@ -236,14 +194,14 @@ class AttractionMemory {
   /// Registers this manager's instruments ("mem." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "mem.*" via Site::introspect() instead.
+  // The live "mem.*" instruments that register_metrics() publishes.
   metrics::Counter migrations_in;
   metrics::Counter migrations_out;
   metrics::Counter local_hits;
   metrics::Counter frames_created;
   metrics::Counter params_applied;
   metrics::Counter remote_fetches;      // fetches that left the site
-  // mutable: counted inside const lookup paths (sim oracle resolution).
+  // mutable: counted inside the const directory_owner() lookup.
   mutable metrics::Counter directory_lookups;
 
   // Sharded-directory instruments ("dir." prefix in the registry).
@@ -253,11 +211,17 @@ class AttractionMemory {
 
  private:
   void frame_became_executable(Microframe frame);
-  /// Ensures the object is local, possibly initiating migration. Returns
-  /// the object, or sets *wait, or fails.
-  Result<MemObject*> attract(GlobalAddress addr,
-                             std::shared_ptr<FetchState>* wait);
+  void install_object(MemObject obj);
+  /// Keeps an object that arrived unasked and registers it where it belongs.
+  void take_custody(MemObject obj);
+  void evict_object(GlobalAddress addr);
   void begin_fetch(GlobalAddress addr);
+  /// Ends our fetch of `addr`: wakes its parked microthreads, then answers
+  /// recalls that arrived before the grant did.
+  void settle_fetch(GlobalAddress addr, Status st);
+  void answer_recall(const SdMessage& recall, GlobalAddress addr);
+  /// Answers the recalls held while a grant to us may be in flight.
+  void answer_early_recalls(GlobalAddress addr);
   void grant_next(GlobalAddress addr);
 
   Site& site_;
@@ -285,8 +249,7 @@ class AttractionMemory {
   // the queue of sites waiting for migration (homesite-mediated protocol).
   struct Waiter {
     SiteId requester = kInvalidSite;
-    std::uint64_t reply_seq = 0;                 // remote requester
-    std::shared_ptr<FetchState> local;           // homesite's own fetch
+    std::uint64_t reply_seq = 0;  // remote requester
   };
   struct DirEntry {
     SiteId owner = kInvalidSite;
@@ -296,8 +259,16 @@ class AttractionMemory {
   };
   std::unordered_map<GlobalAddress, DirEntry> directory_;
 
-  // Fetches this site is waiting on, keyed by object address.
-  std::unordered_map<GlobalAddress, std::shared_ptr<FetchState>> fetching_;
+  // Fetches this site is waiting on, keyed by object address, with the
+  // microthread accesses parked on each.
+  struct PendingAccess {
+    std::shared_ptr<WaitCell> cell;
+    std::int64_t index = 0;
+    std::optional<std::int64_t> store;
+  };
+  std::unordered_map<GlobalAddress, std::vector<PendingAccess>> fetching_;
+  // Recalls for objects whose grant to us may still be in flight.
+  std::unordered_map<GlobalAddress, std::vector<SdMessage>> early_recalls_;
 
   // --- sharded-directory state ---------------------------------------------
   // Routing/stale handling helpers (see attraction_memory.cpp).
@@ -316,9 +287,17 @@ class AttractionMemory {
   void take_over_shard(std::uint32_t shard, bool rebuild);
   void begin_rebuild(std::uint32_t shard);
   void complete_rebuild(std::uint32_t shard);
+  /// Merges a rebuild contribution if we mediate its shard; returns it.
+  std::optional<std::uint32_t> absorb_recover_reply(const SdMessage& msg);
   std::uint64_t next_epoch(std::uint32_t shard) const;
+  /// Records e.owner unless the directory already names an owner; a
+  /// report by the physical holder itself (e.owner == reporter) wins.
+  void merge_entry(const ShardDirEntry& e, SiteId reporter = kInvalidSite);
   void send_register(GlobalAddress addr, ProgramId pid, SiteId owner,
                      SiteId route, std::uint8_t hops);
+  /// Routes (owner of addr) to the shard holder, or queues it for the
+  /// tick while the route is unknown or about to be ours.
+  void register_with_holder(GlobalAddress addr, ProgramId pid, SiteId owner);
   void reject_stale(const SdMessage& msg, std::uint32_t shard);
   void park_remote(const SdMessage& msg, std::uint32_t shard, Nanos parked_at);
   void park_local_fetch(GlobalAddress addr);
@@ -372,9 +351,6 @@ class AttractionMemory {
   // Directory entries restored from a checkpoint (or allocated) while the
   // shard route was still unknown; flushed each tick.
   std::vector<ShardDirEntry> pending_registers_;
-
-  SimFetchHook sim_fetch_;
-  Nanos sim_stall_ = 0;
 };
 
 }  // namespace sdvm

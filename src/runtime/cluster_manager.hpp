@@ -97,8 +97,8 @@ class ClusterManager {
   /// Registers this manager's instruments ("cluster." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims (bench/ablation_idalloc): read "cluster.*" via
-  // Site::introspect() instead.
+  // The live "cluster.*" instruments that register_metrics() publishes
+  // (bench/ablation_idalloc also reads them directly).
   metrics::Counter signon_messages;
   metrics::Counter sites_admitted;      // joins we completed
   metrics::Counter sign_offs_received;  // graceful leaves we learned of

@@ -71,8 +71,8 @@ class CodeManager {
   /// Registers this manager's instruments ("code." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims (bench/ablation_compile): read "code.*" via
-  // Site::introspect() instead.
+  // The live "code.*" instruments that register_metrics() publishes
+  // (bench/ablation_compile also reads them directly).
   metrics::Counter compiles;
   metrics::Counter binary_fetches;
   metrics::Counter source_fetches;

@@ -261,7 +261,6 @@ void CrashManager::expire_pending_shards(Pred pred) {
   }
   if (changed && freeze_depth_ <= 0) {
     freeze_depth_ = 0;
-    site_.processing().set_frozen(false);
     site_.scheduling().set_frozen(false);
     site_.processing().kick();
     site_.driver().notify_work();
@@ -355,7 +354,6 @@ void CrashManager::handle_freeze(const SdMessage& msg) {
   ++freeze_depth_;
   SDVM_DEBUG(site_.tag()) << "freeze epoch " << epoch << " from site "
                           << msg.src << " (depth " << freeze_depth_ << ")";
-  site_.processing().set_frozen(true);
   site_.scheduling().set_frozen(true);
   pending_shards_.push_back(
       PendingShard{msg.program, epoch, msg.src, false, site_.clock().now()});
@@ -429,7 +427,6 @@ void CrashManager::handle_commit(const SdMessage& msg) {
       pending_shards_.erase(it);
       if (--freeze_depth_ <= 0) {
         freeze_depth_ = 0;
-        site_.processing().set_frozen(false);
         site_.scheduling().set_frozen(false);
         site_.processing().kick();
         site_.driver().notify_work();

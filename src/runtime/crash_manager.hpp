@@ -114,7 +114,7 @@ class CrashManager {
     });
   }
 
-  // Deprecated shims: read "crash.*" via Site::introspect() instead.
+  // The live "crash.*" instruments that register_metrics() publishes.
   metrics::Counter checkpoints_committed;
   metrics::Counter recoveries;
   metrics::Counter replicas_persisted;

@@ -18,8 +18,8 @@ class Driver {
   /// Pump soon: new inbox data or freshly ready work.
   virtual void notify_work() = 0;
 
-  /// True when time is virtual and execution must be serialized by the
-  /// event loop (one microthread at a time per site).
+  /// True when time is virtual and execution is driven by the event loop
+  /// (microthreads on fibers, one computing at a time per site).
   [[nodiscard]] virtual bool simulated() const { return false; }
 };
 

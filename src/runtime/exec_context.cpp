@@ -90,40 +90,19 @@ GlobalAddress ExecContext::alloc_global(std::int64_t nwords) {
   return site_.memory().alloc_object(info_.id, nwords);
 }
 
-std::int64_t ExecContext::mem_read(GlobalAddress addr, std::int64_t index) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    std::shared_ptr<AttractionMemory::FetchState> wait;
-    {
-      std::lock_guard lk(site_.lock());
-      auto r = site_.memory().try_read_word(addr, index, &wait);
-      if (wait == nullptr) {
-        if (!r.is_ok()) abort_thread(r.status().to_string());
-        return r.value();
-      }
+std::int64_t ExecContext::mem_access(GlobalAddress addr, std::int64_t index,
+                                     std::optional<std::int64_t> store) {
+  std::shared_ptr<WaitCell> wait;
+  {
+    std::lock_guard lk(site_.lock());
+    auto r = site_.memory().access(addr, index, store, &wait);
+    if (wait == nullptr) {
+      if (!r.is_ok()) abort_thread(r.status().to_string());
+      return r.value();
     }
-    wait->wait();
-    if (!wait->status.is_ok()) abort_thread(wait->status.to_string());
-    // Object may already have migrated away again; retry.
   }
-  abort_thread("memory object ping-ponging, giving up");
-}
-
-void ExecContext::mem_write(GlobalAddress addr, std::int64_t index,
-                            std::int64_t value) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    std::shared_ptr<AttractionMemory::FetchState> wait;
-    {
-      std::lock_guard lk(site_.lock());
-      Status st = site_.memory().try_write_word(addr, index, value, &wait);
-      if (wait == nullptr) {
-        if (!st.is_ok()) abort_thread(st.to_string());
-        return;
-      }
-    }
-    wait->wait();
-    if (!wait->status.is_ok()) abort_thread(wait->status.to_string());
-  }
-  abort_thread("memory object ping-ponging, giving up");
+  await(*wait, "");  // the access was performed when the object landed
+  return wait->word;
 }
 
 void ExecContext::out(std::int64_t value) {
@@ -136,45 +115,37 @@ void ExecContext::out_str(std::string_view text) {
   site_.io().output_str(info_.id, std::string(text));
 }
 
-std::string ExecContext::file_read(std::string_view path) {
-  std::shared_ptr<IoManager::IoWait> wait;
+std::string ExecContext::file_access(std::string_view path,
+                                     std::optional<std::string> write) {
+  const char* what = write.has_value() ? "file_write: " : "file_read: ";
+  std::shared_ptr<WaitCell> wait;
   {
     std::lock_guard lk(site_.lock());
-    auto r = site_.io().try_file_read(std::string(path), &wait);
+    auto r = site_.io().file_access(std::string(path), std::move(write), &wait);
     if (wait == nullptr) {
-      if (!r.is_ok()) abort_thread("file_read: " + r.status().to_string());
+      if (!r.is_ok()) abort_thread(what + r.status().to_string());
       return std::move(r).value();
     }
   }
-  wait->wait();
-  if (!wait->status.is_ok()) {
-    abort_thread("file_read: " + wait->status.to_string());
-  }
+  await(*wait, what);
   return wait->data;
 }
 
-void ExecContext::file_write(std::string_view path, std::string_view data) {
-  std::shared_ptr<IoManager::IoWait> wait;
-  {
-    std::lock_guard lk(site_.lock());
-    Status st =
-        site_.io().try_file_write(std::string(path), std::string(data), &wait);
-    if (wait == nullptr) {
-      if (!st.is_ok()) abort_thread("file_write: " + st.to_string());
-      return;
-    }
+void ExecContext::await(WaitCell& cell, const char* what) {
+  // Called without the site lock. A worker thread blocks; a sim fiber
+  // yields its virtual CPU until the pump signals the cell.
+  if (site_.driver().simulated()) {
+    site_.processing().park(cell);
+  } else {
+    cell.wait();
   }
-  wait->wait();
-  if (!wait->status.is_ok()) {
-    abort_thread("file_write: " + wait->status.to_string());
-  }
+  if (!cell.status.is_ok()) abort_thread(what + cell.status.to_string());
 }
 
 void ExecContext::exit_program(std::int64_t code) {
+  // Terminated by the processing manager once this microthread is counted.
   exit_requested_ = true;
   exit_code_ = code;
-  std::lock_guard lk(site_.lock());
-  site_.programs().terminate(info_.id, code);
 }
 
 void ExecContext::charge(std::int64_t cycles) {

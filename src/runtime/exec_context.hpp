@@ -2,9 +2,11 @@
 // Also implements the MicroC VM's IntrinsicHandler, so bytecode and native
 // microthreads share identical semantics. Each operation takes the site
 // lock briefly; blocking operations (remote memory, rerouted files) park
-// the calling worker thread *outside* the lock.
+// the microthread *outside* the lock: a worker thread blocks, a sim fiber
+// yields (see ProcessingManager).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "microc/vm.hpp"
@@ -12,6 +14,7 @@
 #include "runtime/frame.hpp"
 #include "runtime/message.hpp"
 #include "runtime/program.hpp"
+#include "runtime/wait_cell.hpp"
 
 namespace sdvm {
 
@@ -33,13 +36,21 @@ class ExecContext final : public Context, public microc::IntrinsicHandler {
   void send_bytes(GlobalAddress frame, int slot,
                   std::span<const std::byte> value) override;
   GlobalAddress alloc_global(std::int64_t nwords) override;
-  std::int64_t mem_read(GlobalAddress addr, std::int64_t index) override;
+  std::int64_t mem_read(GlobalAddress addr, std::int64_t index) override {
+    return mem_access(addr, index, std::nullopt);
+  }
   void mem_write(GlobalAddress addr, std::int64_t index,
-                 std::int64_t value) override;
+                 std::int64_t value) override {
+    (void)mem_access(addr, index, value);
+  }
   void out(std::int64_t value) override;  // also the VM intrinsic
   void out_str(std::string_view text) override;
-  std::string file_read(std::string_view path) override;
-  void file_write(std::string_view path, std::string_view data) override;
+  std::string file_read(std::string_view path) override {
+    return file_access(path, std::nullopt);
+  }
+  void file_write(std::string_view path, std::string_view data) override {
+    (void)file_access(path, std::string(data));
+  }
   void exit_program(std::int64_t code) override;
   void charge(std::int64_t cycles) override;  // also the VM intrinsic
   SiteId site() const override;
@@ -92,7 +103,7 @@ class ExecContext final : public Context, public microc::IntrinsicHandler {
     return std::as_const(*this).num_args();
   }
 
-  /// Sim-mode outgoing messages, buffered until virtual completion.
+  /// Sim-mode outgoing messages, buffered until the compute segment ends.
   std::vector<SdMessage> deferred;
 
   [[nodiscard]] std::int64_t charged_cycles() const { return charged_; }
@@ -102,6 +113,13 @@ class ExecContext final : public Context, public microc::IntrinsicHandler {
   [[nodiscard]] const ProgramInfo& info() const { return info_; }
 
  private:
+  std::int64_t mem_access(GlobalAddress addr, std::int64_t index,
+                          std::optional<std::int64_t> store);
+  std::string file_access(std::string_view path,
+                          std::optional<std::string> write);
+  /// Parks until `cell` is signalled; aborts the microthread on failure.
+  void await(WaitCell& cell, const char* what);
+
   Site& site_;
   Microframe frame_;
   ProgramInfo info_;

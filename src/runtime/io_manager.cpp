@@ -119,31 +119,32 @@ std::pair<SiteId, std::string> IoManager::parse_path(
   return {site_.id(), path};
 }
 
-Result<std::string> IoManager::try_file_read(const std::string& path,
-                                             std::shared_ptr<IoWait>* wait) {
+Result<std::string> IoManager::file_access(const std::string& path,
+                                           std::optional<std::string> write,
+                                           std::shared_ptr<WaitCell>* wait) {
   auto [owner, rest] = parse_path(path);
   owner = site_.cluster().resolve_successor(owner);
-  if (owner == site_.id()) return vfs_get(rest);
-
-  ++rerouted_reads;
-  if (sim_file_) {
-    auto r = sim_file_(owner, rest, /*write=*/false, {});
-    site_.memory().add_sim_stall(r.stall);
-    if (!r.status.is_ok()) return r.status;
-    return r.data;
+  if (owner == site_.id()) {
+    if (!write.has_value()) return vfs_get(rest);
+    vfs_put(rest, std::move(*write));
+    return std::string{};
   }
-  auto cell = std::make_shared<IoWait>();
+
+  const bool is_write = write.has_value();
+  ++(is_write ? rerouted_writes : rerouted_reads);
+  auto cell = std::make_shared<WaitCell>();
   *wait = cell;
   ByteWriter w;
   w.str(rest);
+  if (is_write) w.str(*write);
   SdMessage req;
   req.dst = owner;
   req.src_mgr = req.dst_mgr = ManagerId::kIo;
-  req.type = MsgType::kFileRead;
+  req.type = is_write ? MsgType::kFileWrite : MsgType::kFileRead;
   req.payload = w.take();
-  (void)site_.messages().request(req, [cell](Result<SdMessage> r) {
-    if (!r.is_ok()) {
-      cell->signal(r.status());
+  (void)site_.messages().request(req, [cell, is_write](Result<SdMessage> r) {
+    if (!r.is_ok() || is_write) {
+      cell->signal(r.is_ok() ? Status::ok() : r.status());
       return;
     }
     try {
@@ -157,38 +158,7 @@ Result<std::string> IoManager::try_file_read(const std::string& path,
       cell->signal(Status::error(ErrorCode::kCorrupt, e.what()));
     }
   });
-  return Status::error(ErrorCode::kUnavailable, "read in progress");
-}
-
-Status IoManager::try_file_write(const std::string& path, std::string data,
-                                 std::shared_ptr<IoWait>* wait) {
-  auto [owner, rest] = parse_path(path);
-  owner = site_.cluster().resolve_successor(owner);
-  if (owner == site_.id()) {
-    vfs_put(rest, std::move(data));
-    return Status::ok();
-  }
-
-  ++rerouted_writes;
-  if (sim_file_) {
-    auto r = sim_file_(owner, rest, /*write=*/true, std::move(data));
-    site_.memory().add_sim_stall(r.stall);
-    return r.status;
-  }
-  auto cell = std::make_shared<IoWait>();
-  *wait = cell;
-  ByteWriter w;
-  w.str(rest);
-  w.str(data);
-  SdMessage req;
-  req.dst = owner;
-  req.src_mgr = req.dst_mgr = ManagerId::kIo;
-  req.type = MsgType::kFileWrite;
-  req.payload = w.take();
-  (void)site_.messages().request(req, [cell](Result<SdMessage> r) {
-    cell->signal(r.is_ok() ? Status::ok() : r.status());
-  });
-  return Status::error(ErrorCode::kUnavailable, "write in progress");
+  return Status::error(ErrorCode::kUnavailable, "file access in progress");
 }
 
 void IoManager::handle(const SdMessage& msg) {

@@ -8,12 +8,11 @@
 // "@<site>/rest" address another site's VFS explicitly.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "runtime/checkpoint_store.hpp"
 #include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/wait_cell.hpp"
 
 namespace sdvm {
 
@@ -53,50 +53,14 @@ class IoManager {
   void vfs_put(const std::string& path, std::string data);
   [[nodiscard]] Result<std::string> vfs_get(const std::string& path) const;
 
-  /// Wait cell for rerouted file access; the worker parks on it outside
-  /// the site lock (same pattern as attraction-memory fetches).
-  struct IoWait {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::string data;
-
-    void wait() {
-      std::unique_lock lk(m);
-      cv.wait(lk, [this] { return done; });
-    }
-    void signal(Status st, std::string d = {}) {
-      {
-        std::lock_guard lk(m);
-        done = true;
-        status = std::move(st);
-        data = std::move(d);
-      }
-      cv.notify_all();
-    }
-  };
-
-  /// File access from a microthread, called under the site lock.
-  /// "@<site>/path" reroutes to that site; plain paths are local. When the
-  /// target is remote, *wait is set and the caller parks on it.
-  Result<std::string> try_file_read(const std::string& path,
-                                    std::shared_ptr<IoWait>* wait);
-  Status try_file_write(const std::string& path, std::string data,
-                        std::shared_ptr<IoWait>* wait);
-
-  /// Sim-mode oracle: resolves remote file access synchronously against
-  /// the owner's VFS (the simulator has the global view) and returns the
-  /// modeled stall, which is charged to the running microthread. Without
-  /// it, a remote access would park the one simulator thread forever.
-  struct SimFileResult {
-    Status status;
-    std::string data;
-    Nanos stall = 0;
-  };
-  using SimFileHook = std::function<SimFileResult(
-      SiteId owner, const std::string& path, bool write, std::string data)>;
-  void set_sim_file_hook(SimFileHook hook) { sim_file_ = std::move(hook); }
+  /// File access from a microthread, called under the site lock: reads
+  /// `path`, or stores `write` there (returning ""). "@<site>/path"
+  /// reroutes to that site; plain paths are local. When the target is
+  /// remote, *wait is set and the caller parks on it; the cell carries
+  /// the contents read.
+  Result<std::string> file_access(const std::string& path,
+                                  std::optional<std::string> write,
+                                  std::shared_ptr<WaitCell>* wait);
 
   void handle(const SdMessage& msg);
   void drop_program(ProgramId pid);
@@ -104,7 +68,7 @@ class IoManager {
   /// Registers this manager's instruments ("io." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "io.*" via Site::introspect() instead.
+  // The live "io.*" instruments that register_metrics() publishes.
   metrics::Counter rerouted_reads;
   metrics::Counter rerouted_writes;
   metrics::Counter outputs_delivered;  // lines landed at the frontend
@@ -120,7 +84,6 @@ class IoManager {
   std::map<ProgramId, std::vector<IoRecord>> outputs_;
   std::map<std::string, std::string> vfs_;
   OutputCallback callback_;
-  SimFileHook sim_file_;
 };
 
 }  // namespace sdvm

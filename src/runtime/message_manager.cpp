@@ -196,6 +196,13 @@ bool forwardable_after_sign_off(MsgType t) {
   }
 }
 
+/// Replies that end a remote access a microthread may be parked on.
+bool answers_access(MsgType t) {
+  return t == MsgType::kObjectGrant || t == MsgType::kObjectMiss ||
+         t == MsgType::kShardStale || t == MsgType::kFileReadReply ||
+         t == MsgType::kFileWriteAck;
+}
+
 /// Bounds relay chains through concurrently departing sites; a cycle can
 /// only arise when two sites pick each other as successors before either
 /// hears the other's announcement.
@@ -207,6 +214,14 @@ void MessageManager::on_raw_departed(std::span<const std::byte> wire) {
   auto msg = site_.security().unprotect(wire);
   if (!msg.is_ok()) return;
   SdMessage m = std::move(msg).value();
+  if (m.reply_to != 0 && answers_access(m.type) &&
+      pending_.contains(m.reply_to)) {
+    // A microthread parked when we departed finishes here (settle_fetch).
+    bytes_received += wire.size();
+    count_received(m.type);
+    deliver(m);
+    return;
+  }
   if (!forwardable_after_sign_off(m.type)) return;
   if (m.hops >= kMaxForwardHops) {
     SDVM_WARN(site_.tag()) << "dropping " << to_string(m.type)

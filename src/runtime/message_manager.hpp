@@ -52,7 +52,8 @@ class MessageManager {
   /// traffic (frames, results, objects, io, sign-off imports) still in
   /// flight when the site departed is forwarded to the announced
   /// successor — dropping it would strand the microframes the departing
-  /// site just relocated there. Hop-capped against sign-off cycles.
+  /// site just relocated there. Hop-capped against sign-off cycles. A
+  /// reply to a fetch a microthread here still waits on is delivered here.
   void on_raw_departed(std::span<const std::byte> wire);
 
   /// Fails every pending request addressed to a site now believed dead.
@@ -62,7 +63,6 @@ class MessageManager {
   /// buffered here and released at the thread's virtual completion time.
   void set_defer(std::vector<SdMessage>* buffer) { defer_ = buffer; }
   [[nodiscard]] bool defer_active() const { return defer_ != nullptr; }
-  Status transmit_deferred(SdMessage msg) { return transmit(std::move(msg)); }
 
   [[nodiscard]] std::uint64_t next_seq() { return ++seq_; }
 
@@ -70,7 +70,7 @@ class MessageManager {
   /// provider that emits per-message-type send/receive families.
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read "msg.*" via Site::introspect() instead.
+  // The live "msg.*" instruments that register_metrics() publishes.
   metrics::Counter sent_count;
   metrics::Counter received_count;
   metrics::Counter bytes_sent;      // wire bytes (loopback excluded)

@@ -48,7 +48,6 @@ class ProgramManager {
   void add_waiter(ProgramId pid, std::function<void(std::int64_t)> cb);
 
   [[nodiscard]] std::vector<ProgramId> active_programs() const;
-  [[nodiscard]] std::size_t program_count() const { return infos_.size(); }
 
   /// Every program that finished on this site, with its exit code
   /// (sdvmd prints these as they land on the frontend).

@@ -36,7 +36,6 @@ class SchedulingManager {
 
   /// Processing manager pulls work. Policy-ordered (FIFO default).
   [[nodiscard]] std::optional<ReadyWork> take_ready();
-  [[nodiscard]] bool has_ready() const { return !ready_.empty(); }
   [[nodiscard]] std::size_t queued_total() const {
     return executable_.size() + ready_.size();
   }
@@ -59,8 +58,7 @@ class SchedulingManager {
   /// Registers this manager's instruments ("sched." prefix).
   void register_metrics(metrics::MetricsRegistry& registry);
 
-  // Deprecated shims: read these through Site::introspect() metrics
-  // ("sched.*") instead; kept as fields for one release.
+  // The live "sched.*" instruments that register_metrics() publishes.
   metrics::Counter help_requests_sent;
   metrics::Counter help_frames_given;
   metrics::Counter help_frames_received;

@@ -144,23 +144,23 @@ Nanos Site::pump() {
     now = clock_.now();
   }
 
-  if (!signed_off_) {
-    if (driver_.simulated()) {
-      // One microthread at a time per site; virtual cost marks us busy.
-      if (now >= sim_busy_until_ && !processing_mgr_->frozen()) {
-        Nanos cost = processing_mgr_->execute_one_sim();
-        if (cost >= 0) {
-          sim_busy_until_ = now + cost;
-          // Pump again the moment the virtual execution completes, so the
-          // next ready frame starts back-to-back.
-          driver_.request_wakeup(cost);
-        }
+  if (driver_.simulated()) {
+    // One virtual CPU per site: a compute segment's cost marks it busy.
+    // A parked fiber may still finish after sign-off or during a freeze;
+    // execute_one_sim starts no new frame then.
+    if (now >= sim_busy_until_) {
+      Nanos cost = processing_mgr_->execute_one_sim();
+      if (cost >= 0) {
+        sim_busy_until_ = now + cost;
+        // Pump again the moment the segment ends, so the next one starts
+        // back-to-back.
+        driver_.request_wakeup(cost);
       }
-    } else {
-      processing_mgr_->kick();
     }
-    check_starvation();
+  } else if (!signed_off_) {
+    processing_mgr_->kick();
   }
+  if (!signed_off_) check_starvation();
 
   if (timers_.empty()) return -1;
   return std::max<Nanos>(0, timers_.top().due - clock_.now());

@@ -101,7 +101,7 @@ class Site {
   /// The unified status snapshot: identity + lifecycle + load + active
   /// programs + accounting ledger + every registered metric. Thread-safe
   /// (takes the site lock). This is THE way to observe a site; the
-  /// per-manager counter fields remain as deprecated shims.
+  /// per-manager counter fields are the live instruments it snapshots.
   [[nodiscard]] SiteStatus introspect();
 
   /// The per-site instrument catalog (managers register at construction).

@@ -5,7 +5,7 @@
 namespace sdvm::sim {
 
 /// Driver wiring a Site into the event loop: wakeups and work notifications
-/// become events; execution is serialized by Site::pump itself.
+/// become events; Site::pump runs the microthread fibers itself.
 class SimCluster::SimDriver final : public Driver {
  public:
   SimDriver(EventLoop& loop, std::uint32_t actor)
@@ -157,8 +157,6 @@ Site& SimCluster::add_site(SiteConfig config, int contact_index) {
       SDVM_ERROR("sim") << "site failed to join within virtual 10s";
     }
   }
-  install_memory_oracle(*e->site);
-  install_file_oracle(*e->site);
   return *e->site;
 }
 
@@ -220,82 +218,6 @@ void SimCluster::enable_event_hash() {
     mix(size);
     mix(delivered ? 1 : 0);
   });
-}
-
-void SimCluster::install_memory_oracle(Site& site) {
-  Site* requester = &site;
-  site.memory().set_sim_fetch_hook(
-      [this, requester](GlobalAddress addr,
-                        MemObject* out) -> Result<Nanos> {
-        // Route via the requester's shard view: the lease holder mediates.
-        SiteId holder_id = requester->memory().shard_route(addr);
-        Site* holder = site_by_id(holder_id);
-        SiteId owner_id = holder != nullptr
-                              ? holder->memory().directory_owner(addr)
-                              : kInvalidSite;
-        Site* owner =
-            owner_id != kInvalidSite ? site_by_id(owner_id) : nullptr;
-        if (owner == nullptr || owner->memory().local_object(addr) == nullptr) {
-          // The holder's entry is missing or stale (mid-handoff, mid-
-          // rebuild, or the owner moved): fall back to physical ground
-          // truth, as the message protocol's re-registration would.
-          owner = nullptr;
-          for (auto& e : entries_) {
-            if (e->site->memory().owns(addr)) {
-              owner = e->site.get();
-              break;
-            }
-          }
-          if (owner == nullptr) {
-            return Status::error(ErrorCode::kNotFound, "no such object");
-          }
-        }
-        MemObject* obj = owner->memory().local_object(addr);
-        *out = *obj;
-        Nanos bytes = static_cast<Nanos>(obj->words.size() * 8 + 64) *
-                      options_.link.per_byte;
-        owner->memory().evict_object(addr);
-        owner->memory().migrations_out++;
-        if (holder != nullptr) {
-          holder->memory().set_directory_owner(addr, requester->id());
-        }
-
-        // Stall model: request to the shard holder, forward to the owner,
-        // object back — three one-way hops plus serialization.
-        Nanos hop = options_.link.latency;
-        return 3 * hop + bytes;
-      });
-}
-
-void SimCluster::install_file_oracle(Site& site) {
-  site.io().set_sim_file_hook(
-      [this](SiteId owner, const std::string& path, bool write,
-             std::string data) -> IoManager::SimFileResult {
-        IoManager::SimFileResult r;
-        Site* target = site_by_id(owner);
-        if (target == nullptr) {
-          r.status = Status::error(ErrorCode::kUnavailable,
-                                   "file owner site unreachable");
-          return r;
-        }
-        Nanos hop = options_.link.latency;
-        if (write) {
-          std::size_t n = data.size();
-          target->io().vfs_put(path, std::move(data));
-          r.stall = 2 * hop + static_cast<Nanos>(n) * options_.link.per_byte;
-          return r;
-        }
-        auto got = target->io().vfs_get(path);
-        if (!got.is_ok()) {
-          r.status = got.status();
-          r.stall = 2 * hop;
-          return r;
-        }
-        r.data = std::move(got).value();
-        r.stall =
-            2 * hop + static_cast<Nanos>(r.data.size()) * options_.link.per_byte;
-        return r;
-      });
 }
 
 Site* SimCluster::site_by_id(SiteId id) {
@@ -427,8 +349,6 @@ Site& SimCluster::restart(std::size_t index) {
       SDVM_ERROR("sim") << "restarted site failed to join within virtual 10s";
     }
   }
-  install_memory_oracle(*e->site);
-  install_file_oracle(*e->site);
   return *e->site;
 }
 

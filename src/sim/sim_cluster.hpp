@@ -1,8 +1,9 @@
 // SimCluster: a whole SDVM cluster under the discrete-event simulator.
-// Each site runs the exact same manager code as the threaded/TCP modes;
-// only the clock (virtual), the transport (InProcNetwork routed through
-// the event loop), and microthread execution (serialized, cost-accounted)
-// differ. Used for Table 1 and every parameter-sweep bench.
+// Each site runs the exact same manager code and protocols as the
+// threaded/TCP modes; only the clock (virtual), the transport (InProcNetwork
+// routed through the event loop), and microthread execution (fibers on one
+// cost-accounted virtual CPU per site) differ. Used for Table 1 and every
+// parameter-sweep bench.
 #pragma once
 
 #include <memory>
@@ -151,9 +152,6 @@ class SimCluster final : public Cluster {
 
  private:
   class SimDriver;
-
-  void install_memory_oracle(Site& site);
-  void install_file_oracle(Site& site);
 
   Options options_;
   EventLoop loop_;

@@ -3,6 +3,7 @@
 // true parallelism, real blocking on remote memory.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 
 #include "test_util.hpp"
@@ -14,11 +15,13 @@
 #include "apps/matmul.hpp"
 #include "apps/primes.hpp"
 #include "runtime/context.hpp"
+#include "runtime/site.hpp"
 
 namespace sdvm {
 namespace {
 
 constexpr Nanos kWaitLimit = 30 * kNanosPerSecond;
+
 
 TEST(EngineDriverTest, NotifyBeforeWaitIsNotLost) {
   // The engine pumps, then waits: a poke landing between the two must cut
@@ -35,6 +38,138 @@ TEST(EngineDriverTest, NotifyBeforeWaitIsNotLost) {
   driver.wait(20'000'000);
   EXPECT_GE(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(15));
+}
+
+TEST(ProcessingManagerTest, KickBeforeWaitIsNotLost) {
+  // A worker tries for work, then sleeps: a kick landing between the two
+  // must cut the sleep short instead of being lost until the timeout.
+  EngineDriver driver;
+  Site site(SiteConfig{}, WallClock::instance(), driver);  // no workers
+  site.processing().kick();
+  auto start = std::chrono::steady_clock::now();
+  site.processing().wait_for_kick(2 * kNanosPerSecond);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+
+  // The kick is consumed: the next sleep runs to its timeout.
+  start = std::chrono::steady_clock::now();
+  site.processing().wait_for_kick(20'000'000);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(15));
+}
+
+TEST(ThreadedTest, ExitingMicrothreadCountedBeforeRunReturns) {
+  // The program's one microthread keeps computing after exit(); run()
+  // must still not return before it is counted, so proc.executed is exact
+  // right away. (With more microthreads, a non-exiting one may still be
+  // finishing on another worker when the program terminates.)
+  LocalCluster cluster;
+  cluster.add_sites(2);
+  auto spec = ProgramBuilder("count")
+                  .thread("entry", R"(
+                    exit(0);
+                    var i = 0;
+                    while (i < 200000) { i = i + 1; }
+                  )")
+                  .entry("entry")
+                  .build();
+  for (std::uint64_t rep = 1; rep <= 5; ++rep) {
+    auto pid = cluster.start_program(spec);
+    ASSERT_TRUE(pid.is_ok());
+    ASSERT_TRUE(cluster.run(pid.value(), kWaitLimit).is_ok());
+    std::uint64_t executed = 0;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      auto st = cluster.status(i);
+      ASSERT_TRUE(st.is_ok());
+      executed += st.value().metrics.counter("proc.executed");
+    }
+    EXPECT_EQ(executed, rep) << "after program " << rep;
+  }
+}
+
+TEST(ThreadedTest, ContendedObjectEveryAccessCompletes) {
+  // Writers on three sites hammer one object at once over jittery links,
+  // so a recall can overtake the grant it follows. The site the grant is
+  // bound for must hold such a recall until the object lands; answering
+  // "miss" makes the mediator declare the object lost. And each grant
+  // performs the accesses parked on it before the recall behind it takes
+  // the object away again. Every access must complete.
+  constexpr int kWriters = 6;
+  constexpr int kWrites = 300;
+  LocalCluster cluster;
+  cluster.network().faults().set_default_link(
+      net::LinkModel{.latency = 50'000, .jitter = 200'000});
+  SiteConfig one_slot;
+  one_slot.executor_slots = 1;  // the home site cannot run them all
+  one_slot.heartbeat_interval = 5'000'000;  // idle sites ask for work soon
+  cluster.add_sites(3, one_slot);
+  // The first writer on each site waits for the others, so the writes of
+  // all three sites overlap.
+  auto arrived = std::make_shared<std::atomic<int>>(0);
+  auto spec =
+      ProgramBuilder("contend")
+          .native_thread("entry",
+                         [](Context& ctx) {
+                           GlobalAddress obj = ctx.alloc_global(kWriters);
+                           GlobalAddress join = ctx.spawn("join", kWriters, 0);
+                           for (int i = 0; i < kWriters; ++i) {
+                             GlobalAddress w = ctx.spawn("writer", 3, 0);
+                             ctx.send_int(w, 0,
+                                          static_cast<std::int64_t>(obj.value));
+                             ctx.send_int(
+                                 w, 1, static_cast<std::int64_t>(join.value));
+                             ctx.send_int(w, 2, i);
+                           }
+                         })
+          .native_thread(
+              "writer",
+              [arrived](Context& ctx) {
+                GlobalAddress obj{static_cast<std::uint64_t>(ctx.param_int(0))};
+                const std::int64_t i = ctx.param_int(2);
+                arrived->fetch_add(1);
+                const auto give_up = std::chrono::steady_clock::now() +
+                                     std::chrono::milliseconds(200);
+                while (arrived->load() < 3 &&
+                       std::chrono::steady_clock::now() < give_up) {
+                }
+                for (int k = 1; k <= kWrites; ++k) {
+                  ctx.mem_write(obj, i, k);
+                  const auto next = std::chrono::steady_clock::now() +
+                                    std::chrono::microseconds(20);
+                  while (std::chrono::steady_clock::now() < next) {
+                  }
+                }
+                ctx.send_int(
+                    GlobalAddress{static_cast<std::uint64_t>(ctx.param_int(1))},
+                    static_cast<int>(i), ctx.mem_read(obj, i));
+              })
+          .native_thread("join",
+                         [](Context& ctx) {
+                           std::int64_t sum = 0;
+                           for (int i = 0; i < kWriters; ++i) {
+                             sum += ctx.param_int(i);
+                           }
+                           ctx.out(sum);
+                           ctx.exit_program(0);
+                         })
+          .entry("entry")
+          .build();
+  auto pid = cluster.start_program(spec);
+  ASSERT_TRUE(pid.is_ok());
+  auto code = cluster.wait_program(pid.value(), kWaitLimit);
+  ASSERT_TRUE(code.is_ok()) << code.status().to_string();
+  EXPECT_EQ(cluster.outputs(0, pid.value()),
+            std::vector<std::string>{std::to_string(kWriters * kWrites)});
+  std::uint64_t trapped = 0;
+  std::uint64_t migrations = 0;
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    auto st = cluster.status(i);
+    ASSERT_TRUE(st.is_ok());
+    trapped += st.value().metrics.counter("proc.trapped");
+    migrations += st.value().metrics.counter("mem.migrations_in");
+  }
+  EXPECT_EQ(trapped, 0u);
+  EXPECT_GT(migrations, 10u) << "the object hardly moved: no contention";
 }
 
 TEST(ThreadedTest, HelloWorld) {
